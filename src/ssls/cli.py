@@ -15,13 +15,12 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .clustering import KMeansSpec
-from .data import CrossFitPlan, Dataset, load_csv, make_crossfit_plan
+from .data import CrossFitPlan, Dataset, load_csv
 from .diagnostics import flag_regions, residual_series
 from .errors import (
     ClusteringDegenerate,
@@ -30,9 +29,11 @@ from .errors import (
     OneArmOnly,
     SslsError,
 )
-from .estimator import SslsConfig, crossfit_nuisance, estimate_dssls, repeated_ssls
+# Bound under the public name, through which perfbench/tracing.py times the
+# estimator stage; it also returns the first split's nuisance fit.
+from .estimator import SslsConfig, estimate_dssls
+from .estimator import _repeated_runs as repeated_ssls
 from .inference import Contrast, glh_test, power_min_n, simultaneous_cis
-from .rng import Stream
 from .learners import (
     CartProbSpec,
     CartSpec,
@@ -160,7 +161,9 @@ def _build_config(args, dataset) -> SslsConfig:
 
 
 def _residual_outputs(out_dir: Path, dataset, grouping, effects, args,
-                      suffix: str = "") -> None:
+                      suffix: str = "") -> tuple[float, dict]:
+    """Write the raw and smoothed residual CSVs; return the bandwidth used
+    and the smoothed series."""
     xcol = dataset.x[:, args.diag_covariate]
     span = float(xcol.max() - xcol.min())
     bandwidth = args.bandwidth if args.bandwidth is not None else max(0.05 * span, 1e-12)
@@ -186,6 +189,7 @@ def _residual_outputs(out_dir: Path, dataset, grouping, effects, args,
                 {"x_grid": rs.grid[i], "curve": rs.smooth[i], "arm": arm}
             )
     write_csv(out_dir / f"residuals_smooth{suffix}.csv", smooth_rows)
+    return bandwidth, series
 
 
 def _load_contrast(path: str, n_groups: int) -> Contrast:
@@ -202,16 +206,12 @@ def _load_contrast(path: str, n_groups: int) -> Contrast:
     return Contrast(mat[:, :-1], mat[:, -1])
 
 
-def _nuisance_quality(dataset, grouping, cfg) -> dict:
+def _nuisance_quality(dataset, nf) -> dict:
     """Out-of-fold fit quality of the outcome model on the first split.
 
     There is no pass/fail rule here; a large value warns that the residual
     diagnostics ride on a poorly fitted conditional mean.
     """
-    seed0 = Stream(cfg.plan.seed).child("repeat").child(0).key
-    plan = make_crossfit_plan(dataset.n, replace(cfg.plan, folds=()),
-                              grouping=grouping, seed=seed0)
-    nf = crossfit_nuisance(dataset, replace(cfg, plan=plan), grouping=grouping)
     return {
         "outcome_oof_mse": float(np.mean((dataset.y - nf.m_hat) ** 2)),
         "outcome_variance": float(np.var(dataset.y)),
@@ -223,7 +223,7 @@ def _nuisance_quality(dataset, grouping, cfg) -> dict:
 def cmd_estimate(args) -> int:
     dataset, grouping, mapping, covariates = _load(args, need_group=True)
     cfg = _build_config(args, dataset)
-    effects = repeated_ssls(dataset, grouping, cfg)
+    effects, nf0 = repeated_ssls(dataset, grouping, cfg)
     report = simultaneous_cis(effects, alpha=args.alpha)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -251,7 +251,7 @@ def cmd_estimate(args) -> int:
         },
         "effects": effects.to_dict(),
         "inference": report.to_dict(),
-        "nuisance_quality": _nuisance_quality(dataset, grouping, cfg),
+        "nuisance_quality": _nuisance_quality(dataset, nf0),
     }
     if args.contrast:
         contrast = _load_contrast(args.contrast, effects.n_groups)
@@ -394,15 +394,10 @@ def cmd_simulate(args) -> int:
 def cmd_diagnose(args) -> int:
     dataset, grouping, _, _ = _load(args, need_group=True)
     cfg = _build_config(args, dataset)
-    effects = repeated_ssls(dataset, grouping, cfg)
+    effects, nf0 = repeated_ssls(dataset, grouping, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _residual_outputs(out_dir, dataset, grouping, effects, args)
-    xcol = dataset.x[:, args.diag_covariate]
-    span = float(xcol.max() - xcol.min())
-    bandwidth = args.bandwidth if args.bandwidth is not None else max(0.05 * span, 1e-12)
-    series = residual_series(effects, dataset, covariate_index=args.diag_covariate,
-                             bandwidth=bandwidth, grid_size=args.grid_size)
+    bandwidth, series = _residual_outputs(out_dir, dataset, grouping, effects, args)
     flags = {
         str(arm): [[lo, hi] for lo, hi in flag_regions(rs, args.flag_multiplier)]
         for arm, rs in series.items()
@@ -413,7 +408,7 @@ def cmd_diagnose(args) -> int:
         "bandwidth": bandwidth,
         "flag_multiplier": args.flag_multiplier,
         "flagged_regions": flags,
-        "nuisance_quality": _nuisance_quality(dataset, grouping, cfg),
+        "nuisance_quality": _nuisance_quality(dataset, nf0),
     })
     return 0
 

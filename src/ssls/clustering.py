@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, Grouping, GroupSource
-from .errors import GroupTooSmall, OneArmOnly, TooFewSamples
+from .errors import ClusteringDegenerate, GroupTooSmall, OneArmOnly, TooFewSamples
 from .inference import power_min_n
 from .rng import Stream
 
@@ -67,9 +67,22 @@ class FittedClusterer:
 
     def assign(self, x: np.ndarray) -> np.ndarray:
         """Nearest-centroid labels in 1..G; ties go to the lowest label."""
-        z = self._transform(x)
-        d2 = ((z[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_dist(self._transform(x), self.centroids)
         return np.argmin(d2, axis=1).astype(np.int64) + 1
+
+
+def _sq_dist(z: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances, accumulated one feature at a time.
+
+    Up to 7 features this adds in the same order as summing the (n, k, p)
+    broadcast over its last axis, so the result is bit-identical to it; from
+    8 features numpy sums pairwise and the two can differ in the last ulp.
+    """
+    zt = np.ascontiguousarray(z.T)  # each feature's column as one contiguous row
+    d2 = np.zeros((centroids.shape[0], z.shape[0]))
+    for f in range(z.shape[1]):
+        d2 += (zt[f] - centroids[:, f, None]) ** 2
+    return d2.T
 
 
 def _plusplus_init(z: np.ndarray, k: int, stream: Stream) -> np.ndarray:
@@ -77,23 +90,25 @@ def _plusplus_init(z: np.ndarray, k: int, stream: Stream) -> np.ndarray:
     centroids = np.empty((k, z.shape[1]))
     first = int(stream.integers(1, n)[0])
     centroids[0] = z[first]
-    d2 = ((z - centroids[0]) ** 2).sum(axis=1)
+    d2 = _sq_dist(z, centroids[:1])[:, 0]
     for j in range(1, k):
         pick = stream.weighted_index(d2) if d2.sum() > 0 else int(stream.integers(1, n)[0])
         centroids[j] = z[pick]
-        d2 = np.minimum(d2, ((z - centroids[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dist(z, centroids[j:j + 1])[:, 0])
     return centroids
 
 
 def _lloyd(z: np.ndarray, centroids: np.ndarray, max_iter: int):
     n, k = z.shape[0], centroids.shape[0]
-    labels = np.zeros(n, dtype=np.int64)
+    rows = np.arange(n)
+    # The assignment that ends one iteration starts the next: the centroids
+    # have not moved in between.
+    d2 = _sq_dist(z, centroids)
+    labels = np.argmin(d2, axis=1)
+    dist_own = d2[rows, labels]
     path = []
     prev = np.inf
     for _ in range(max_iter):
-        d2 = ((z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-        dist_own = d2[np.arange(n), labels]
         for j in range(k):
             members = labels == j
             if members.any():
@@ -105,9 +120,10 @@ def _lloyd(z: np.ndarray, centroids: np.ndarray, max_iter: int):
                 centroids[j] = z[far]
                 labels[far] = j
                 dist_own[far] = -1.0  # keep later reseeds off this point
-        d2 = ((z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_dist(z, centroids)
         labels = np.argmin(d2, axis=1)
-        inertia = float(d2[np.arange(n), labels].sum())
+        dist_own = d2[rows, labels]
+        inertia = float(dist_own.sum())
         if inertia > prev + 1e-9 * max(prev, 1.0):
             raise AssertionError(
                 f"inertia increased within a Lloyd run: {prev} -> {inertia}"
@@ -169,12 +185,17 @@ def gate_grouping(fc: FittedClusterer, d: Dataset, spec: KMeansSpec) -> Grouping
     """Assign labels and enforce the usability gates.
 
     Labels come out dense 1..G ordered by centroid norm (canonicalized at
-    fit time). Rejects groups below the minimum size and groups containing
-    a single treatment arm, since both make the groupwise estimate useless.
+    fit time). Rejects a fitted cluster that no row falls in, then groups
+    below the minimum size and groups containing a single treatment arm,
+    since all three make the groupwise estimate useless.
     """
     labels = fc.assign(d.x)
-    min_size = spec.resolved_min_size()
     counts = np.bincount(labels, minlength=fc.n_groups + 1)[1:]
+    if (counts == 0).any():
+        raise ClusteringDegenerate(
+            "fitted clusters do not all appear in the estimation sample"
+        )
+    min_size = spec.resolved_min_size()
     for g in range(fc.n_groups):
         if counts[g] < min_size:
             raise GroupTooSmall(g + 1, int(counts[g]), min_size)

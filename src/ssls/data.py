@@ -188,6 +188,8 @@ def validate_dataset(d: Dataset, g: Grouping) -> None:
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise NonFinite(int(row), int(col))
+    if not np.isfinite(d.y).all():
+        raise NonFinite(int(np.argmin(np.isfinite(d.y))))
     if d.known_propensity is not None:
         bad = ~((d.known_propensity > 0.0) & (d.known_propensity < 1.0))
         if bad.any():

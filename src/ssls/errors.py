@@ -22,10 +22,13 @@ class EmptyGroup(SslsError):
 
 
 class NonFinite(SslsError):
-    def __init__(self, row: int, col: int):
+    """A non-finite covariate at (row, col), or outcome at row when col is None."""
+
+    def __init__(self, row: int, col: int | None = None):
         self.row = row
         self.col = col
-        super().__init__(f"non-finite covariate at row {row}, column {col}")
+        super().__init__(f"non-finite outcome at row {row}" if col is None else
+                         f"non-finite covariate at row {row}, column {col}")
 
 
 class PropensityOutOfRange(SslsError):

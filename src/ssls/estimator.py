@@ -24,7 +24,7 @@ from .data import (
     make_crossfit_plan,
     validate_dataset,
 )
-from .errors import ClusteringDegenerate, DegenerateGroup, OneArmOnly, TooFewSamples
+from .errors import DegenerateGroup, OneArmOnly, TooFewSamples
 from .learners import (
     KnownPropensity,
     PropensityLearnerSpec,
@@ -164,11 +164,11 @@ def transformed_sample_from_nuisance(
 
 def _single_run(
     d: Dataset, g: Grouping, cfg: SslsConfig, seed: int
-) -> GroupEffects:
+) -> tuple[GroupEffects, NuisanceFit]:
     plan = replace(cfg.plan, folds=())
     plan = make_crossfit_plan(d.n, plan, grouping=g, seed=seed)
     nf = crossfit_nuisance(d, replace(cfg, plan=plan), grouping=g)
-    return estimate_ssls(d, g, nf)
+    return estimate_ssls(d, g, nf), nf
 
 
 def aggregate_effects(runs: list[GroupEffects]) -> GroupEffects:
@@ -197,16 +197,24 @@ def aggregate_effects(runs: list[GroupEffects]) -> GroupEffects:
     )
 
 
-def repeated_ssls(d: Dataset, g: Grouping, cfg: SslsConfig) -> GroupEffects:
-    """Run the pipeline cfg.plan.repeats times on fresh splits, take medians."""
+def _repeated_runs(
+    d: Dataset, g: Grouping, cfg: SslsConfig
+) -> tuple[GroupEffects, NuisanceFit]:
+    """repeated_ssls, also returning the first split's nuisance fit."""
     repeats = cfg.plan.repeats
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     root = Stream(cfg.plan.seed).child("repeat")
-    runs = [
-        _single_run(d, g, cfg, seed=root.child(s).key) for s in range(repeats)
+    first, first_fit = _single_run(d, g, cfg, seed=root.child(0).key)
+    runs = [first] + [
+        _single_run(d, g, cfg, seed=root.child(s).key)[0] for s in range(1, repeats)
     ]
-    return aggregate_effects(runs)
+    return aggregate_effects(runs), first_fit
+
+
+def repeated_ssls(d: Dataset, g: Grouping, cfg: SslsConfig) -> GroupEffects:
+    """Run the pipeline cfg.plan.repeats times on fresh splits, take medians."""
+    return _repeated_runs(d, g, cfg)[0]
 
 
 def _three_way_split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -245,11 +253,6 @@ def estimate_dssls(
         grouping = Grouping(labels_est, n_groups, GroupSource.FIXED_RULE)
     else:
         clusterer = fit_kmeans(d.x[cluster_idx], cluster_spec)
-        labels_est = clusterer.assign(d_est.x)
-        if np.unique(labels_est).size < cluster_spec.n_groups:
-            raise ClusteringDegenerate(
-                "fitted clusters do not all appear in the estimation sample"
-            )
         grouping = gate_grouping(clusterer, d_est, cluster_spec)
 
     plan = replace(cfg.plan, folds=())

@@ -277,12 +277,6 @@ def _best_split_sorted(x: np.ndarray, y: np.ndarray, sorted_ids: np.ndarray,
     return j, 0.5 * (xs[k - 1, j] + xs[k, j]), gain
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Split search on an unsorted node sample (sorts once, then delegates)."""
-    presort = np.argsort(x, axis=0, kind="stable")
-    return _best_split_sorted(x, y, presort, min_leaf)
-
-
 def _grow_tree(x: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int,
                presort: Optional[np.ndarray] = None) -> _TreeModel:
     feature: list[int] = []
@@ -481,15 +475,3 @@ def fit_propensity(spec: PropensityLearnerSpec, x, a) -> FittedModel:
 
 def propensity_needs_fitting(spec: PropensityLearnerSpec) -> bool:
     return not isinstance(spec, (KnownPropensity, OracleProbSpec))
-
-
-def known_from_groups(labels: np.ndarray, per_group: dict | np.ndarray,
-                      clip: float = DEFAULT_CLIP) -> KnownPropensity:
-    """Materialize per-group constant propensities into a full column."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if isinstance(per_group, dict):
-        column = np.array([per_group[int(g)] for g in labels], dtype=np.float64)
-    else:
-        per_group = np.asarray(per_group, dtype=np.float64)
-        column = per_group[labels - 1]
-    return KnownPropensity(column, clip)

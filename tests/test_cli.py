@@ -2,13 +2,16 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ssls.cli import main
+from ssls import estimator
+from ssls.cli import _build_config, build_parser, main
+from ssls.data import load_csv, make_crossfit_plan
 from ssls.rng import Stream
-from ssls.simulation import BlobConfig, draw_blobs
+from ssls.simulation import BlobConfig, Dgp1Config, draw_blobs, draw_dgp1
 
 
 @pytest.fixture
@@ -76,6 +79,14 @@ def test_estimate_missing_column(toy_csv, tmp_path, capsys):
     args[args.index("--treatment") + 1] = "not_there"
     assert main(args) == 2
     assert "not_there" in capsys.readouterr().err
+
+
+def test_estimate_non_finite_outcome_exit_2(toy_csv, tmp_path, capsys):
+    lines = toy_csv.read_text().splitlines()
+    lines[3] = "nan" + lines[3][lines[3].index(","):]
+    toy_csv.write_text("\n".join(lines) + "\n")
+    assert main(estimate_args(toy_csv, tmp_path / "out")) == 2
+    assert "non-finite value at row 4, column 'y'" in capsys.readouterr().err
 
 
 def test_estimate_repeats_deterministic(toy_csv, tmp_path):
@@ -228,3 +239,46 @@ def test_diagnose_outputs(toy_csv, tmp_path):
     assert (out / "residuals_smooth.csv").exists()
     flags = json.loads((out / "flags.json").read_text())
     assert "flagged_regions" in flags
+
+
+@pytest.fixture
+def dgp1_csv(tmp_path):
+    d, g, _ = draw_dgp1(Dgp1Config(n=300), stream=Stream(5).child("cli"))
+    path = tmp_path / "dgp1.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y", "a", "g", "x1", "x2", "x3"])
+        for i in range(d.n):
+            writer.writerow([d.y[i], int(d.a[i]), g.labels[i], *d.x[i, :3]])
+    return path
+
+
+def _refit_split0_mse(argv):
+    """The nuisance-quality figure as once computed: a fresh split-0 refit."""
+    args = build_parser().parse_args(argv)
+    d, g, _ = load_csv(args.data, outcome="y", treatment="a",
+                       covariates=["x1", "x2", "x3"], group="g")
+    cfg = _build_config(args, d)
+    seed0 = Stream(cfg.plan.seed).child("repeat").child(0).key
+    plan = make_crossfit_plan(d.n, replace(cfg.plan, folds=()), grouping=g, seed=seed0)
+    nf = estimator.crossfit_nuisance(d, replace(cfg, plan=plan), grouping=g)
+    return float(np.mean((d.y - nf.m_hat) ** 2))
+
+
+@pytest.mark.parametrize("command, learner", [("estimate", "gbm"), ("diagnose", "ols")])
+def test_nuisance_quality_reads_the_split0_fit(dgp1_csv, tmp_path, monkeypatch,
+                                               command, learner):
+    out = tmp_path / "out"
+    argv = [command, "--data", str(dgp1_csv), "--outcome", "y", "--treatment", "a",
+            "--group", "g", "--covariates", "x1,x2,x3", "--learner-y", learner,
+            "--repeats", "3", "--seed", "4", "--out-dir", str(out)]
+    expected = _refit_split0_mse(argv)
+    calls = []
+    crossfit = estimator.crossfit_nuisance
+    monkeypatch.setattr(estimator, "crossfit_nuisance",
+                        lambda *a, **kw: calls.append(1) or crossfit(*a, **kw))
+    assert main(argv) == 0
+    assert len(calls) == 3  # one cross-fit per repeat, none refitted
+    report = "report.json" if command == "estimate" else "flags.json"
+    quality = json.loads((out / report).read_text())["nuisance_quality"]
+    assert quality["outcome_oof_mse"] == expected

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from ssls import clustering
 from ssls.clustering import FittedClusterer, KMeansSpec, fit_kmeans, gate_grouping
 from ssls.data import Dataset
-from ssls.errors import GroupTooSmall, OneArmOnly, TooFewSamples
+from ssls.errors import ClusteringDegenerate, GroupTooSmall, OneArmOnly, TooFewSamples
 from ssls.rng import Stream
 
 
@@ -129,3 +130,131 @@ def test_standardization_stored():
     # scaling is undone consistently: assign works on raw coordinates
     labels = fc.assign(x)
     assert set(np.unique(labels)) == {1, 2}
+
+
+def test_gate_cluster_without_rows_is_degenerate():
+    # The third centroid lies far from every row, so no row is assigned to
+    # it; that is a degenerate clustering, reported ahead of the size gate.
+    x = blobs(40, [(-1.0,), (1.0,)], seed=24, sd=0.2)
+    fc = FittedClusterer(centroids=np.array([[-1.0], [1.0], [100.0]]),
+                         col_mean=np.zeros(1), col_scale=np.ones(1),
+                         inertia=0.0, inertia_path=(0.0,))
+    d = Dataset(y=np.zeros(80), a=np.tile([0.0, 1.0], 40), x=x)
+    with pytest.raises(ClusteringDegenerate):
+        gate_grouping(fc, d, KMeansSpec(n_groups=3, seed=0, min_group_size=1000))
+
+
+# Reference k-means kernels: the (n, k, p) broadcast that _sq_dist replaced.
+
+def _broadcast_d2(z, centroids):
+    return ((z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
+def _broadcast_init(z, k, stream):
+    n = z.shape[0]
+    centroids = np.empty((k, z.shape[1]))
+    first = int(stream.integers(1, n)[0])
+    centroids[0] = z[first]
+    d2 = ((z - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        pick = stream.weighted_index(d2) if d2.sum() > 0 else int(stream.integers(1, n)[0])
+        centroids[j] = z[pick]
+        d2 = np.minimum(d2, ((z - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
+def _broadcast_lloyd(z, centroids, max_iter):
+    n, k = z.shape[0], centroids.shape[0]
+    labels = np.zeros(n, dtype=np.int64)
+    path = []
+    prev = np.inf
+    for _ in range(max_iter):
+        d2 = _broadcast_d2(z, centroids)
+        labels = np.argmin(d2, axis=1)
+        dist_own = d2[np.arange(n), labels]
+        for j in range(k):
+            members = labels == j
+            if members.any():
+                centroids[j] = z[members].mean(axis=0)
+            else:
+                far = int(np.argmax(dist_own))
+                centroids[j] = z[far]
+                labels[far] = j
+                dist_own[far] = -1.0
+        d2 = _broadcast_d2(z, centroids)
+        labels = np.argmin(d2, axis=1)
+        inertia = float(d2[np.arange(n), labels].sum())
+        path.append(inertia)
+        if inertia >= prev - 1e-12 * max(prev, 1.0):
+            break
+        prev = inertia
+    return centroids, labels, path
+
+
+def _overlapping_blobs(p, seed):
+    centers = [np.full(p, -1.0), np.full(p, 1.0), np.r_[2.0, np.zeros(p - 1)]]
+    return blobs(300, centers, seed=seed, sd=1.5)
+
+
+def _fit_both(monkeypatch, x, spec):
+    fast = fit_kmeans(x, spec)
+    with monkeypatch.context() as m:
+        m.setattr(clustering, "_plusplus_init", _broadcast_init)
+        m.setattr(clustering, "_lloyd", _broadcast_lloyd)
+        ref = fit_kmeans(x, spec)
+    z = (x - ref.col_mean) / ref.col_scale
+    ref_labels = np.argmin(_broadcast_d2(z, ref.centroids), axis=1) + 1
+    return fast, ref, ref_labels
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 7])
+def test_kmeans_bit_identical_to_broadcast(monkeypatch, p):
+    x = _overlapping_blobs(p, seed=30 + p)
+    fast, ref, ref_labels = _fit_both(monkeypatch, x, KMeansSpec(n_groups=3, seed=p))
+    assert len(ref.inertia_path) > 2  # several Lloyd iterations were compared
+    assert np.array_equal(fast.centroids, ref.centroids)
+    assert fast.inertia_path == ref.inertia_path
+    assert fast.inertia == ref.inertia
+    assert np.array_equal(fast.assign(x), ref_labels)
+
+
+def test_kmeans_wide_design_within_rounding(monkeypatch):
+    # From 8 features numpy's broadcast sum is pairwise, so distances may
+    # differ in the last ulp; the clustering itself must not move.
+    x = _overlapping_blobs(12, seed=40)
+    fast, ref, ref_labels = _fit_both(monkeypatch, x, KMeansSpec(n_groups=3, seed=41))
+    assert np.array_equal(fast.centroids, ref.centroids)
+    assert np.array_equal(fast.assign(x), ref_labels)
+    assert fast.inertia == pytest.approx(ref.inertia, rel=1e-12)
+
+
+def test_lloyd_reseeds_an_empty_cluster_like_broadcast():
+    # Two coincident starting centroids: ties go to the lower label, so the
+    # second one owns no rows and is re-seeded in the first iteration.
+    z = _overlapping_blobs(3, seed=42)
+    init = np.vstack([z[0], z[0], z[1]])
+    fast = clustering._lloyd(z, init.copy(), max_iter=100)
+    ref = _broadcast_lloyd(z, init.copy(), max_iter=100)
+    assert np.array_equal(fast[0], ref[0])
+    assert np.array_equal(fast[1], ref[1])
+    assert fast[2] == ref[2]
+
+
+def test_lloyd_one_distance_pass_per_iteration(monkeypatch):
+    calls = []
+    counted = clustering._sq_dist
+
+    def counting(z, centroids):
+        calls.append(centroids.shape[0])
+        return counted(z, centroids)
+
+    monkeypatch.setattr(clustering, "_sq_dist", counting)
+    x = _overlapping_blobs(5, seed=43)
+    z = (x - x.mean(axis=0)) / x.std(axis=0)
+    root = Stream(44).child("kmeans")
+    for r in range(5):
+        init = clustering._plusplus_init(z, 3, root.child(r))
+        calls.clear()
+        _, _, path = clustering._lloyd(z, init, max_iter=100)
+        assert len(path) > 1
+        assert len(calls) == len(path) + 1

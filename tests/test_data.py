@@ -63,6 +63,14 @@ def test_validate_non_finite():
     assert (err.value.row, err.value.col) == (2, 1)
 
 
+def test_validate_non_finite_outcome():
+    for bad in (np.nan, np.inf):
+        d = Dataset(y=[1.0, bad, 3.0, 4.0], a=[0, 1, 0, 1], x=np.zeros((4, 1)))
+        with pytest.raises(NonFinite, match="outcome") as err:
+            validate_dataset(d, Grouping([1, 1, 2, 2], 2))
+        assert (err.value.row, err.value.col) == (1, None)
+
+
 def test_validate_propensity_range():
     d = Dataset(y=[1, 2, 3, 4], a=[0, 1, 0, 1], x=np.zeros((4, 1)),
                 known_propensity=[0.5, 1.0, 0.5, 0.5])

@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from ssls.clustering import KMeansSpec
+from ssls import estimator
+from ssls.clustering import FittedClusterer, KMeansSpec
 from ssls.data import CrossFitPlan, Dataset, GroupEffects, Grouping, make_crossfit_plan
-from ssls.errors import DegenerateGroup, OneArmOnly, TooFewSamples
+from ssls.errors import (
+    ClusteringDegenerate,
+    DegenerateGroup,
+    NonFinite,
+    OneArmOnly,
+    TooFewSamples,
+)
 from ssls.estimator import (
     SslsConfig,
     _three_way_split,
@@ -19,6 +26,7 @@ from ssls.estimator import (
 from ssls.learners import (
     CartSpec,
     KnownPropensity,
+    LogisticSpec,
     OlsSpec,
     OracleProbSpec,
     OracleSpec,
@@ -158,6 +166,15 @@ def test_repeats_single_is_identity():
     assert np.array_equal(once.tau_hat, direct.tau_hat)
 
 
+def test_repeats_reject_non_finite_outcome():
+    d, g, _ = draw_dgp1(Dgp1Config(n=200), stream=Stream(7).child("d"))
+    y = d.y.copy()
+    y[17] = np.nan
+    cfg = SslsConfig(OlsSpec(), LogisticSpec(), CrossFitPlan(seed=8))
+    with pytest.raises(NonFinite, match="outcome at row 17"):
+        repeated_ssls(Dataset(y, d.a, d.x), g, cfg)
+
+
 def test_repeats_median_aggregation():
     def fake(tau):
         return GroupEffects(
@@ -292,3 +309,16 @@ def test_finer_partition_less_efficient():
         parent_sigma.append(parent.sigma_gg_hat[0])
         child_sigma.append(child.sigma_gg_hat.mean())
     assert np.mean(child_sigma) >= np.mean(parent_sigma)
+
+
+def test_dssls_cluster_missing_from_estimation_sample(monkeypatch):
+    # A fitted centroid that no estimation row is nearest to is reported as a
+    # degenerate clustering, not as a group below the size gate.
+    d, _, _ = draw_blobs(BlobConfig(n=300), stream=Stream(14).child("d"))
+    far = np.array([[0.0, 0.0], [1e6, 1e6]])
+    fc = FittedClusterer(centroids=far, col_mean=np.zeros(2), col_scale=np.ones(2),
+                         inertia=0.0, inertia_path=(0.0,))
+    monkeypatch.setattr(estimator, "fit_kmeans", lambda x, spec: fc)
+    cfg = SslsConfig(OlsSpec(), KnownPropensity(0.5), CrossFitPlan(seed=32))
+    with pytest.raises(ClusteringDegenerate):
+        estimate_dssls(d, KMeansSpec(n_groups=2, seed=0, min_group_size=1000), cfg)
