@@ -38,7 +38,6 @@ from .inference import (
     glh_test,
     maxt_critical,
     pairwise_test,
-    pointwise_tests,
     power_min_n,
     simultaneous_cis,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "normal_cdf",
     "normal_quantile",
     "pairwise_test",
-    "pointwise_tests",
     "power_min_n",
     "repeated_ssls",
     "residual_series",

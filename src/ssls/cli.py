@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import KMeansSpec
-from .data import CrossFitPlan, Dataset, load_csv
+from .data import CrossFitPlan, load_csv
 from .diagnostics import flag_regions, residual_series
 from .errors import (
     ClusteringDegenerate,
@@ -95,9 +95,9 @@ def _regression_spec(name: str):
                       "(expected ols, ridge[:lam], cart, gbm)")
 
 
-def _propensity_spec(name: str | None, column: np.ndarray | None):
-    if column is not None:
-        return KnownPropensity(column)
+def _propensity_spec(name: str | None, known: KnownPropensity | None):
+    if known is not None:
+        return known
     name = (name or "logistic").lower()
     if name == "logistic":
         return LogisticSpec()
@@ -109,59 +109,73 @@ def _propensity_spec(name: str | None, column: np.ndarray | None):
                       "(expected logistic, cart, gbm)")
 
 
-def _resolve_propensity(raw: str | None):
-    """--propensity accepts a column name or a literal constant in (0,1)."""
-    if raw is None:
-        return None, None
+def _propensity_column(raw: str | None) -> str | None:
+    """The CSV column --propensity names; None when it is absent or a number."""
     try:
-        const = float(raw)
-    except ValueError:
-        return raw, None
-    if not 0.0 < const < 1.0:
-        raise DomainError(f"constant propensity must lie in (0, 1), got {const}")
-    return None, const
+        float(raw)
+    except (TypeError, ValueError):
+        return raw
+    return None
+
+
+def _resolve_propensity(raw: str | None, column: np.ndarray | None):
+    """--propensity as a KnownPropensity: the column load_csv read for it, or
+    the literal constant; None when the flag is absent."""
+    if column is not None:
+        return KnownPropensity(column)
+    return None if raw is None else KnownPropensity(float(raw))
 
 
 def _load(args, need_group: bool):
     covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
     if not covariates:
         raise DomainError("--covariates must name at least one column")
-    prop_col_name, prop_const = _resolve_propensity(args.propensity)
-    dataset, grouping, mapping = load_csv(
+    dataset, grouping, mapping, column = load_csv(
         args.data,
         outcome=args.outcome,
         treatment=args.treatment,
         covariates=covariates,
         group=args.group if need_group else None,
-        propensity=prop_col_name,
+        propensity=_propensity_column(args.propensity),
     )
     if need_group and grouping is None:
         raise DomainError("--group is required for this subcommand")
-    if prop_const is not None:
-        dataset = Dataset(dataset.y, dataset.a, dataset.x,
-                          np.full(dataset.n, prop_const))
-    return dataset, grouping, mapping, covariates
+    known = _resolve_propensity(args.propensity, column)
+    return dataset, grouping, mapping, covariates, known
 
 
-def _build_config(args, dataset) -> SslsConfig:
+def _build_config(args, known: KnownPropensity | None) -> SslsConfig:
     plan = CrossFitPlan(
         n_folds=args.folds,
         stratified=args.stratified,
         repeats=args.repeats,
         seed=args.seed,
     )
-    propensity_column = dataset.known_propensity
-    spec_e = _propensity_spec(args.learner_e, propensity_column)
     return SslsConfig(
         regression_spec=_regression_spec(args.learner_y),
-        propensity_spec=spec_e,
+        propensity_spec=_propensity_spec(args.learner_e, known),
         plan=plan,
         alpha=args.alpha,
     )
 
 
-def _residual_outputs(out_dir: Path, dataset, grouping, effects, args,
-                      suffix: str = "") -> tuple[float, dict]:
+def _write_residuals(out_dir: Path, suffix: str, xcol, residuals, arm, labels,
+                     series: dict) -> None:
+    """Write residuals_raw{suffix}.csv, one row per observation, and
+    residuals_smooth{suffix}.csv, one row per grid point of each arm."""
+    write_csv(out_dir / f"residuals_raw{suffix}.csv", [
+        {"x": x, "residual": r, "arm": int(t), "group": int(g)}
+        for x, r, t, g in zip(xcol, residuals, arm, labels)
+    ])
+    write_csv(out_dir / f"residuals_smooth{suffix}.csv", [
+        {"x_grid": x, "curve": c, "arm": t}
+        for t in (0, 1)
+        for x, c in zip(series[t].grid, series[t].smooth)
+    ])
+
+
+def _residual_outputs(out_dir: Path, dataset, grouping, effects,
+                      args) -> tuple[float, dict]:
     """Write the raw and smoothed residual CSVs; return the bandwidth used
     and the smoothed series."""
     xcol = dataset.x[:, args.diag_covariate]
@@ -171,24 +185,8 @@ def _residual_outputs(out_dir: Path, dataset, grouping, effects, args,
         effects, dataset, covariate_index=args.diag_covariate,
         bandwidth=bandwidth, grid_size=args.grid_size,
     )
-    raw_rows = [
-        {
-            "x": dataset.x[i, args.diag_covariate],
-            "residual": effects.residuals[i],
-            "arm": int(dataset.a[i]),
-            "group": int(grouping.labels[i]),
-        }
-        for i in range(dataset.n)
-    ]
-    write_csv(out_dir / f"residuals_raw{suffix}.csv", raw_rows)
-    smooth_rows = []
-    for arm in (0, 1):
-        rs = series[arm]
-        for i in range(rs.grid.shape[0]):
-            smooth_rows.append(
-                {"x_grid": rs.grid[i], "curve": rs.smooth[i], "arm": arm}
-            )
-    write_csv(out_dir / f"residuals_smooth{suffix}.csv", smooth_rows)
+    _write_residuals(out_dir, "", xcol, effects.residuals, dataset.a,
+                     grouping.labels, series)
     return bandwidth, series
 
 
@@ -221,8 +219,8 @@ def _nuisance_quality(dataset, nf) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    dataset, grouping, mapping, covariates = _load(args, need_group=True)
-    cfg = _build_config(args, dataset)
+    dataset, grouping, mapping, covariates, known = _load(args, need_group=True)
+    cfg = _build_config(args, known)
     effects, nf0 = repeated_ssls(dataset, grouping, cfg)
     report = simultaneous_cis(effects, alpha=args.alpha)
     out_dir = Path(args.out_dir)
@@ -274,8 +272,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_discover(args) -> int:
-    dataset, _, _, covariates = _load(args, need_group=False)
-    cfg = _build_config(args, dataset)
+    dataset, _, _, covariates, known = _load(args, need_group=False)
+    cfg = _build_config(args, known)
     spec = KMeansSpec(
         n_groups=args.groups,
         seed=args.seed,
@@ -368,32 +366,16 @@ def cmd_simulate(args) -> int:
         for tag, mis in (("correct", False), ("misspecified", True)):
             run = run_diagnostic_once(n=args.n, use_misspecified_m=mis,
                                       seed=args.seed)
-            raw_rows = [
-                {
-                    "x": run.dataset.x[i, 0],
-                    "residual": run.residuals[i],
-                    "arm": int(run.dataset.a[i]),
-                    "group": int(run.grouping.labels[i]),
-                }
-                for i in range(run.dataset.n)
-            ]
-            write_csv(out_dir / f"residuals_raw_{tag}.csv", raw_rows)
-            smooth_rows = []
-            for arm in (0, 1):
-                rs = run.series[arm]
-                for i in range(rs.grid.shape[0]):
-                    smooth_rows.append(
-                        {"x_grid": rs.grid[i], "curve": rs.smooth[i], "arm": arm}
-                    )
-            write_csv(out_dir / f"residuals_smooth_{tag}.csv", smooth_rows)
+            _write_residuals(out_dir, f"_{tag}", run.dataset.x[:, 0], run.residuals,
+                             run.dataset.a, run.grouping.labels, run.series)
     else:
         raise DomainError(f"unknown study '{args.study}'")
     return 0
 
 
 def cmd_diagnose(args) -> int:
-    dataset, grouping, _, _ = _load(args, need_group=True)
-    cfg = _build_config(args, dataset)
+    dataset, grouping, _, _, known = _load(args, need_group=True)
+    cfg = _build_config(args, known)
     effects, nf0 = repeated_ssls(dataset, grouping, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

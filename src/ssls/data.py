@@ -15,7 +15,6 @@ from .errors import (
     LengthMismatch,
     NonBinaryTreatment,
     NonFinite,
-    PropensityOutOfRange,
     SslsError,
     TooFewSamples,
 )
@@ -36,16 +35,11 @@ def _as_float_vector(v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observed sample: outcome y, binary treatment a, covariate matrix x.
-
-    ``known_propensity`` holds per-row treatment probabilities when the
-    assignment mechanism is known (e.g. a designed experiment).
-    """
+    """Observed sample: outcome y, binary treatment a, covariate matrix x."""
 
     y: np.ndarray
     a: np.ndarray
     x: np.ndarray
-    known_propensity: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "y", _as_float_vector(self.y))
@@ -54,18 +48,13 @@ class Dataset:
         if x.ndim == 1:
             x = x[:, None]
         object.__setattr__(self, "x", x)
-        if self.known_propensity is not None:
-            object.__setattr__(
-                self, "known_propensity", _as_float_vector(self.known_propensity)
-            )
 
     @property
     def n(self) -> int:
         return self.y.shape[0]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        prop = None if self.known_propensity is None else self.known_propensity[idx]
-        return Dataset(self.y[idx], self.a[idx], self.x[idx], prop)
+        return Dataset(self.y[idx], self.a[idx], self.x[idx])
 
 
 @dataclass(frozen=True)
@@ -180,8 +169,6 @@ def validate_dataset(d: Dataset, g: Grouping) -> None:
             f"lengths disagree: y={n}, a={d.a.shape[0]}, x={d.x.shape[0]}, "
             f"labels={g.labels.shape[0]}"
         )
-    if d.known_propensity is not None and d.known_propensity.shape[0] != n:
-        raise LengthMismatch("known_propensity length differs from y")
     if not np.all((d.a == 0.0) | (d.a == 1.0)):
         raise NonBinaryTreatment("treatment vector contains values other than 0/1")
     finite = np.isfinite(d.x)
@@ -190,10 +177,6 @@ def validate_dataset(d: Dataset, g: Grouping) -> None:
         raise NonFinite(int(row), int(col))
     if not np.isfinite(d.y).all():
         raise NonFinite(int(np.argmin(np.isfinite(d.y))))
-    if d.known_propensity is not None:
-        bad = ~((d.known_propensity > 0.0) & (d.known_propensity < 1.0))
-        if bad.any():
-            raise PropensityOutOfRange(int(np.argmax(bad)))
     if g.n_groups < 1:
         raise EmptyGroup(1)
     if g.labels.min() < 1 or g.labels.max() > g.n_groups:
@@ -286,12 +269,13 @@ def load_csv(
     covariates: Sequence[str],
     group: Optional[str] = None,
     propensity: Optional[str] = None,
-) -> tuple[Dataset, Optional[Grouping], dict]:
+) -> tuple[Dataset, Optional[Grouping], dict, Optional[np.ndarray]]:
     """Read a headed CSV into a Dataset (+ Grouping when a group column is bound).
 
     Missing cells and unparseable numbers are hard errors naming the row and
     column. The group column may hold arbitrary categorical values; they are
-    relabeled densely and the mapping is returned for the run report.
+    relabeled densely and the mapping is returned for the run report. The
+    last value is the propensity column when one is bound, else None.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -348,11 +332,11 @@ def load_csv(
     prop = None
     if propensity is not None:
         prop = np.array([numeric(i, propensity) for i in range(n)])
-    dataset = Dataset(y, a_raw, x, prop)
+    dataset = Dataset(y, a_raw, x)
 
     grouping = None
     mapping: dict = {}
     if group is not None:
         labels, mapping = relabel_dense([cell(i, group) for i in range(n)])
         grouping = Grouping(labels, int(labels.max()), GroupSource.FIXED_RULE)
-    return dataset, grouping, mapping
+    return dataset, grouping, mapping, prop

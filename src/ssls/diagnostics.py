@@ -86,18 +86,22 @@ def residual_series(
     return out
 
 
-def flag_regions(rs: ResidualSeries, sd_multiplier: float = 8.0) -> list[tuple[float, float]]:
-    """Maximal grid intervals where the smoothed mean leaves the noise band.
-
-    The band at each grid point is sd_multiplier * (residual SD) divided by
-    the square root of the kernel-effective local sample size; an empty list
-    means the mean-zero restriction looks fine everywhere.
-    """
+def _exceeds_band(rs: ResidualSeries, sd_multiplier: float) -> np.ndarray:
+    """Grid points where the smoothed mean leaves the noise band
+    sd_multiplier * (residual SD) / sqrt(kernel-effective local sample size);
+    points without local support never exceed it."""
     sd = float(np.std(rs.residuals))
     with np.errstate(divide="ignore", invalid="ignore"):
         band = sd_multiplier * sd / np.sqrt(rs.effective_n)
-    exceed = np.abs(rs.smooth) > band
-    exceed &= np.isfinite(rs.smooth)
+    return (np.abs(rs.smooth) > band) & np.isfinite(rs.smooth)
+
+
+def flag_regions(rs: ResidualSeries, sd_multiplier: float = 8.0) -> list[tuple[float, float]]:
+    """Maximal grid intervals where the smoothed mean leaves the noise band.
+
+    An empty list means the mean-zero restriction looks fine everywhere.
+    """
+    exceed = _exceeds_band(rs, sd_multiplier)
     regions = []
     start = None
     for i, flag in enumerate(exceed):
@@ -113,9 +117,4 @@ def flag_regions(rs: ResidualSeries, sd_multiplier: float = 8.0) -> list[tuple[f
 
 def flagged_fraction(rs: ResidualSeries, sd_multiplier: float = 8.0) -> float:
     """Fraction of grid points inside flagged regions."""
-    sd = float(np.std(rs.residuals))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        band = sd_multiplier * sd / np.sqrt(rs.effective_n)
-    exceed = np.abs(rs.smooth) > band
-    exceed &= np.isfinite(rs.smooth)
-    return float(exceed.mean())
+    return float(_exceeds_band(rs, sd_multiplier).mean())

@@ -10,7 +10,6 @@ lower incomplete gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -211,15 +210,3 @@ def chisq_quantile(p: float, k: int) -> float:
         if hi - lo <= 1e-13 * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class Quantile:
-    """A probability level and its standard normal quantile."""
-
-    p: float
-    z: float
-
-    @staticmethod
-    def at(p: float) -> "Quantile":
-        return Quantile(p, normal_quantile(p))

@@ -32,9 +32,13 @@ class NonFinite(SslsError):
 
 
 class PropensityOutOfRange(SslsError):
-    def __init__(self, row: int):
+    """A known propensity outside (0, 1) at row of a column; row is None for
+    a scalar."""
+
+    def __init__(self, value: float, row: int | None = None):
         self.row = row
-        super().__init__(f"known propensity outside (0, 1) at row {row}")
+        where = "" if row is None else f" at row {row}"
+        super().__init__(f"known propensity {value} outside (0, 1){where}")
 
 
 class TooFewSamples(SslsError):

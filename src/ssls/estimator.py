@@ -24,14 +24,14 @@ from .data import (
     make_crossfit_plan,
     validate_dataset,
 )
-from .errors import DegenerateGroup, OneArmOnly, TooFewSamples
+from .errors import DegenerateGroup, LengthMismatch, OneArmOnly, TooFewSamples
 from .learners import (
     KnownPropensity,
+    OracleProbSpec,
     PropensityLearnerSpec,
     RegressionLearnerSpec,
     fit_propensity,
     fit_regression,
-    propensity_needs_fitting,
 )
 from .rng import Stream
 from .transformed_ls import TransformedSample
@@ -68,16 +68,16 @@ class DsslsResult:
 
 
 def _known_column(spec: KnownPropensity, n: int) -> np.ndarray:
+    """The known propensity for each of n rows, unclipped: a scalar is
+    broadcast, a column must have exactly n entries."""
     if np.ndim(spec.values) == 0:
-        column = np.full(n, float(spec.values))
-    else:
-        column = np.asarray(spec.values, dtype=np.float64)
-        if column.shape[0] != n:
-            raise ValueError(
-                f"known propensity column has {column.shape[0]} entries "
-                f"for {n} observations"
-            )
-    return np.clip(column, spec.clip, 1.0 - spec.clip)
+        return np.full(n, spec.values)
+    if spec.values.shape[0] != n:
+        raise LengthMismatch(
+            f"known propensity column has {spec.values.shape[0]} entries "
+            f"for {n} observations"
+        )
+    return spec.values
 
 
 def crossfit_nuisance(
@@ -87,6 +87,7 @@ def crossfit_nuisance(
 ) -> NuisanceFit:
     """Train nuisances on each fold's complement, predict on the fold.
 
+    With a grouping, the dataset is validated before anything is fitted.
     Known propensities bypass fitting entirely: the supplied scalar or
     column is copied through (after clipping). Oracle propensities skip the
     one-arm check but are still evaluated fold by fold.
@@ -95,11 +96,13 @@ def crossfit_nuisance(
     plan = cfg.plan
     if not plan.materialized or plan.n != n:
         plan = make_crossfit_plan(n, plan, grouping=grouping)
+    if grouping is not None:
+        validate_dataset(d, grouping)
     m_hat = np.empty(n)
     e_hat = np.empty(n)
     spec_e = cfg.propensity_spec
     if isinstance(spec_e, KnownPropensity):
-        e_hat[:] = _known_column(spec_e, n)
+        e_hat[:] = np.clip(_known_column(spec_e, n), spec_e.clip, 1.0 - spec_e.clip)
     for k, test_idx in enumerate(plan.folds):
         mask = np.ones(n, dtype=bool)
         mask[test_idx] = False
@@ -108,7 +111,7 @@ def crossfit_nuisance(
             raise TooFewSamples(f"fold {k} has an empty training complement")
         if not isinstance(spec_e, KnownPropensity):
             a_train = d.a[train_idx]
-            if propensity_needs_fitting(spec_e) and not (
+            if not isinstance(spec_e, OracleProbSpec) and not (
                 (a_train == 1.0).any() and (a_train == 0.0).any()
             ):
                 raise OneArmOnly(f"training complement of fold {k}")
@@ -245,6 +248,9 @@ def estimate_dssls(
         )
     cluster_idx, est_idx = _three_way_split(n, cfg.plan.seed)
     d_est = d.subset(est_idx)
+    spec_e = cfg.propensity_spec
+    if isinstance(spec_e, KnownPropensity):
+        spec_e = replace(spec_e, values=_known_column(spec_e, n)[est_idx])
 
     clusterer = None
     if callable(cluster_spec):
@@ -259,11 +265,6 @@ def estimate_dssls(
     seed_est = Stream(cfg.plan.seed).child("dssls-estimation").key
     plan = make_crossfit_plan(d_est.n, plan, grouping=grouping, seed=seed_est)
 
-    spec_e = cfg.propensity_spec
-    if isinstance(spec_e, KnownPropensity) and np.ndim(spec_e.values) > 0:
-        spec_e = KnownPropensity(
-            np.asarray(spec_e.values, dtype=np.float64)[est_idx], spec_e.clip
-        )
     sub_cfg = replace(cfg, plan=plan, propensity_spec=spec_e)
     nf = crossfit_nuisance(d_est, sub_cfg, grouping=grouping)
     effects = estimate_ssls(d_est, grouping, nf)

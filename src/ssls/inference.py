@@ -104,7 +104,14 @@ class InferenceReport:
         ]
 
 
-def _build_report(ge: GroupEffects, tau0: np.ndarray, alpha: float) -> InferenceReport:
+def simultaneous_cis(ge: GroupEffects, alpha: float = 0.05, tau0=None) -> InferenceReport:
+    """Per-group t-tests of tau_g = tau0_g (tau0 defaults to zero) with
+    two-sided normal p-values, pointwise intervals at z_crit, and
+    simultaneous intervals at q_crit, which control the familywise error
+    rate at alpha."""
+    tau0 = np.zeros(ge.n_groups) if tau0 is None else np.asarray(tau0, dtype=np.float64)
+    if tau0.shape != (ge.n_groups,):
+        raise ValueError(f"tau0 must have length {ge.n_groups}")
     se = ge.se()
     t_stat = (ge.tau_hat - tau0) / se
     p_value = np.array([2.0 * normal_cdf(-abs(t)) for t in t_stat])
@@ -128,26 +135,6 @@ def _build_report(ge: GroupEffects, tau0: np.ndarray, alpha: float) -> Inference
         z_crit=z,
         q_crit=q,
     )
-
-
-def _coerce_tau0(ge: GroupEffects, tau0) -> np.ndarray:
-    if tau0 is None:
-        return np.zeros(ge.n_groups)
-    out = np.asarray(tau0, dtype=np.float64)
-    if out.shape != (ge.n_groups,):
-        raise ValueError(f"tau0 must have length {ge.n_groups}")
-    return out
-
-
-def pointwise_tests(ge: GroupEffects, tau0=None, alpha: float = 0.05) -> InferenceReport:
-    """Per-group t-tests of tau_g = tau0_g with two-sided normal p-values."""
-    return _build_report(ge, _coerce_tau0(ge, tau0), alpha)
-
-
-def simultaneous_cis(ge: GroupEffects, alpha: float = 0.05, tau0=None) -> InferenceReport:
-    """Simultaneous intervals: the pointwise recipe with q_crit in place of
-    z_crit, controlling the familywise error rate at alpha."""
-    return _build_report(ge, _coerce_tau0(ge, tau0), alpha)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,13 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import NonConvergenceWarning, OneArmOnly, SingularDesign, TooFewSamples
+from .errors import (
+    NonConvergenceWarning,
+    OneArmOnly,
+    PropensityOutOfRange,
+    SingularDesign,
+    TooFewSamples,
+)
 from .transformed_ls import linear_solve_spd
 
 DEFAULT_CLIP = 0.01
@@ -102,10 +108,25 @@ class GbmProbSpec:
 @dataclass(frozen=True)
 class KnownPropensity:
     """Treatment probabilities supplied by design: a scalar applied to every
-    row, or a full column resolved positionally by the cross-fitting layer."""
+    row, or a full column resolved positionally by the cross-fitting layer.
+
+    Every value must be finite and strictly inside (0, 1); otherwise
+    construction raises PropensityOutOfRange naming the first bad row.
+    """
 
     values: Union[float, np.ndarray]
     clip: float = DEFAULT_CLIP
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim > 1:
+            raise ValueError(f"known propensity must be a scalar or a column, "
+                             f"got shape {values.shape}")
+        bad = np.flatnonzero(~((values > 0.0) & (values < 1.0)))
+        if bad.size:
+            row = int(bad[0]) if values.ndim else None
+            raise PropensityOutOfRange(float(values.flat[bad[0]]), row)
+        object.__setattr__(self, "values", values if values.ndim else float(values))
 
 
 @dataclass(frozen=True)
@@ -150,16 +171,6 @@ class _OracleModel(FittedModel):
         if self.clip is not None:
             out = np.clip(out, self.clip, 1.0 - self.clip)
         return out
-
-
-class _ConstantModel(FittedModel):
-    def __init__(self, value: float, clip: Optional[float] = None):
-        if clip is not None:
-            value = min(max(value, clip), 1.0 - clip)
-        self.value = value
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.full(np.asarray(x).shape[0], self.value)
 
 
 class _TreeModel(FittedModel):
@@ -450,12 +461,8 @@ def fit_regression(spec: RegressionLearnerSpec, x, y) -> FittedModel:
 def fit_propensity(spec: PropensityLearnerSpec, x, a) -> FittedModel:
     """Fit a treatment-probability learner; predictions are clipped."""
     if isinstance(spec, KnownPropensity):
-        if np.ndim(spec.values) == 0:
-            return _ConstantModel(float(spec.values), spec.clip)
-        raise ValueError(
-            "column-valued known propensities are resolved positionally by "
-            "cross-fitting; fit_propensity only accepts a scalar"
-        )
+        raise ValueError("known propensities are resolved by cross-fitting, "
+                         "not fitted")
     x, a = _check_matrix(x, a)
     if isinstance(spec, OracleProbSpec):
         return _OracleModel(spec.fn, clip=spec.clip)
@@ -471,7 +478,3 @@ def fit_propensity(spec: PropensityLearnerSpec, x, a) -> FittedModel:
                                      spec.shrinkage, spec.min_leaf))
         return _ClippedModel(gbm, spec.clip)
     raise TypeError(f"unknown propensity spec {spec!r}")
-
-
-def propensity_needs_fitting(spec: PropensityLearnerSpec) -> bool:
-    return not isinstance(spec, (KnownPropensity, OracleProbSpec))

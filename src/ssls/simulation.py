@@ -190,8 +190,7 @@ def draw_blobs(cfg: BlobConfig, stream: Optional[Stream] = None):
     y = 0.5 * x[:, 0] + tau[blob] * a + s.child("eps").normal(n)
     labels = (blob + 1).astype(np.int64)
     grouping = Grouping(labels, 2, GroupSource.FIXED_RULE)
-    d = Dataset(y, a, x, known_propensity=np.full(n, cfg.treat_prob))
-    return d, grouping, tau
+    return Dataset(y, a, x), grouping, tau
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +380,7 @@ def _robustness_rep(args):
     delta = delta_scale * x[:, 0]  # mean zero within each group
     y = (1.0 + x[:, 0] + x[:, 1] + a * (tau[labels - 1] + delta)
          + stream.child("eps").normal(n))
-    d = Dataset(y, a, x, known_propensity=e_true)
+    d = Dataset(y, a, x)
     grouping = Grouping(labels, 2, GroupSource.FIXED_RULE)
     plan = CrossFitPlan(n_folds=2, seed=stream.child("plan").key)
     cfg = SslsConfig(OlsSpec(), KnownPropensity(e_true), plan)

@@ -10,6 +10,7 @@ import pytest
 from ssls import estimator
 from ssls.cli import _build_config, build_parser, main
 from ssls.data import load_csv, make_crossfit_plan
+from ssls.estimator import _three_way_split
 from ssls.rng import Stream
 from ssls.simulation import BlobConfig, Dgp1Config, draw_blobs, draw_dgp1
 
@@ -162,6 +163,43 @@ def test_discover_deterministic(blob_csv, tmp_path):
     assert (out1 / "groups.csv").read_bytes() == (out2 / "groups.csv").read_bytes()
 
 
+@pytest.mark.parametrize("value", ["1.5", "nan"])
+def test_constant_propensity_out_of_range_exit_2(toy_csv, tmp_path, capsys, value):
+    args = estimate_args(toy_csv, tmp_path / "out")
+    args[args.index("--propensity") + 1] = value
+    assert main(args) == 2
+    assert "outside (0, 1)" in capsys.readouterr().err
+
+
+def _add_propensity_column(path, bad_row):
+    """Append a column ps of 0.5, with 1.0 at data row bad_row (0-based)."""
+    lines = path.read_text().splitlines()
+    lines[0] += ",ps"
+    for i in range(1, len(lines)):
+        lines[i] += ",1.0" if i - 1 == bad_row else ",0.5"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_estimate_propensity_column_out_of_range_exit_2(toy_csv, tmp_path, capsys):
+    _add_propensity_column(toy_csv, bad_row=5)
+    args = estimate_args(toy_csv, tmp_path / "out")
+    args[args.index("--propensity") + 1] = "ps"
+    assert main(args) == 2
+    assert "outside (0, 1) at row 5" in capsys.readouterr().err
+
+
+def test_discover_propensity_column_checked_on_clustering_rows(blob_csv, tmp_path,
+                                                               capsys):
+    # the bad row feeds only k-means, never the estimation two thirds
+    cluster_idx, _ = _three_way_split(600, 3)
+    bad = int(cluster_idx[0])
+    _add_propensity_column(blob_csv, bad_row=bad)
+    args = discover_args(blob_csv, tmp_path / "disc")
+    args[args.index("--propensity") + 1] = "ps"
+    assert main(args) == 2
+    assert f"outside (0, 1) at row {bad}" in capsys.readouterr().err
+
+
 def test_simulate_calibration_smoke(tmp_path):
     out = tmp_path / "sim"
     code = main([
@@ -256,9 +294,9 @@ def dgp1_csv(tmp_path):
 def _refit_split0_mse(argv):
     """The nuisance-quality figure as once computed: a fresh split-0 refit."""
     args = build_parser().parse_args(argv)
-    d, g, _ = load_csv(args.data, outcome="y", treatment="a",
-                       covariates=["x1", "x2", "x3"], group="g")
-    cfg = _build_config(args, d)
+    d, g, _, _ = load_csv(args.data, outcome="y", treatment="a",
+                          covariates=["x1", "x2", "x3"], group="g")
+    cfg = _build_config(args, None)
     seed0 = Stream(cfg.plan.seed).child("repeat").child(0).key
     plan = make_crossfit_plan(d.n, replace(cfg.plan, folds=()), grouping=g, seed=seed0)
     nf = estimator.crossfit_nuisance(d, replace(cfg, plan=plan), grouping=g)

@@ -22,6 +22,7 @@ from ssls.errors import (
     SslsError,
     TooFewSamples,
 )
+from ssls.learners import KnownPropensity
 
 
 def small_dataset():
@@ -72,10 +73,8 @@ def test_validate_non_finite_outcome():
 
 
 def test_validate_propensity_range():
-    d = Dataset(y=[1, 2, 3, 4], a=[0, 1, 0, 1], x=np.zeros((4, 1)),
-                known_propensity=[0.5, 1.0, 0.5, 0.5])
     with pytest.raises(PropensityOutOfRange) as err:
-        validate_dataset(d, Grouping([1, 1, 2, 2], 2))
+        KnownPropensity([0.5, 1.0, 0.5, 0.5])
     assert err.value.row == 1
 
 
@@ -160,13 +159,13 @@ def test_load_csv_roundtrip(tmp_path):
         "2.0,0,young,0.2,1.0,0.85\n"
         "0.5,1,old,0.3,0.0,0.9\n"
     )
-    d, g, mapping = load_csv(str(path), outcome="y", treatment="a",
-                             covariates=["x1", "x2"], group="grp", propensity="ps")
+    d, g, mapping, ps = load_csv(str(path), outcome="y", treatment="a",
+                                 covariates=["x1", "x2"], group="grp", propensity="ps")
     assert d.n == 3
     assert d.x.shape == (3, 2)
     assert mapping == {"old": 1, "young": 2}
     assert g.labels.tolist() == [1, 2, 1]
-    assert d.known_propensity.tolist() == [0.9, 0.85, 0.9]
+    assert ps.tolist() == [0.9, 0.85, 0.9]
 
 
 def test_load_csv_missing_cell(tmp_path):

@@ -1,5 +1,7 @@
 """Cross-fitting, the groupwise closed form, D-SSLS, repeated splits."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from ssls.data import CrossFitPlan, Dataset, GroupEffects, Grouping, make_crossf
 from ssls.errors import (
     ClusteringDegenerate,
     DegenerateGroup,
+    LengthMismatch,
     NonFinite,
     OneArmOnly,
     TooFewSamples,
@@ -25,6 +28,7 @@ from ssls.estimator import (
 )
 from ssls.learners import (
     CartSpec,
+    GbmSpec,
     KnownPropensity,
     LogisticSpec,
     OlsSpec,
@@ -44,10 +48,45 @@ def oracle_cfg(truth, seed=0, **plan_kw):
 
 
 def test_crossfit_known_propensity_passthrough():
+    # a scalar is broadcast, a column lines up by position; both are clipped
     d, g, truth = draw_dgp1(Dgp1Config(n=100), stream=Stream(1).child("d"))
-    cfg = SslsConfig(OlsSpec(), KnownPropensity(0.9), CrossFitPlan(seed=3))
-    nf = crossfit_nuisance(d, cfg, g)
-    assert np.allclose(nf.e_hat, 0.9)
+    column = np.linspace(0.001, 0.999, d.n)
+    for values, expected in [(0.9, 0.9), (0.999, 0.99),
+                             (column, np.clip(column, 0.01, 0.99))]:
+        cfg = SslsConfig(OlsSpec(), KnownPropensity(values), CrossFitPlan(seed=3))
+        nf = crossfit_nuisance(d, cfg, g)
+        assert np.allclose(nf.e_hat, expected)
+
+
+def _no_fitting(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a learner was fitted")
+    for name in ("fit_regression", "fit_propensity", "fit_kmeans"):
+        monkeypatch.setattr(estimator, name, fail)
+
+
+@pytest.mark.parametrize("extra", [5, -5])
+def test_known_propensity_column_length_checked_before_fitting(monkeypatch, extra):
+    d, g, _ = draw_blobs(BlobConfig(n=300), stream=Stream(15).child("d"))
+    cfg = SslsConfig(OlsSpec(), KnownPropensity(np.full(d.n + extra, 0.5)),
+                     CrossFitPlan(seed=4))
+    _no_fitting(monkeypatch)
+    with pytest.raises(LengthMismatch, match=f"{d.n + extra} entries for {d.n}"):
+        repeated_ssls(d, g, cfg)
+    with pytest.raises(LengthMismatch, match=f"{d.n + extra} entries for {d.n}"):
+        estimate_dssls(d, KMeansSpec(n_groups=2, seed=0), cfg)
+
+
+@pytest.mark.parametrize("learner", [OlsSpec(), GbmSpec()])
+def test_non_finite_outcome_rejected_before_fitting(learner):
+    d, g, _ = draw_dgp1(Dgp1Config(n=400), stream=Stream(7).child("d"))
+    y = d.y.copy()
+    y[17] = np.inf
+    cfg = SslsConfig(learner, LogisticSpec(), CrossFitPlan(seed=8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="outcome at row 17"):
+            repeated_ssls(Dataset(y, d.a, d.x), g, cfg)
 
 
 def test_crossfit_oracle_regression_exact():
@@ -299,7 +338,7 @@ def test_finer_partition_less_efficient():
         x = s.child("x").normal(n)[:, None]
         a = s.child("a").bernoulli(0.5, n).astype(float)
         y = 1.0 * a + x[:, 0] + s.child("e").normal(n)
-        d = Dataset(y, a, x, known_propensity=np.full(n, 0.5))
+        d = Dataset(y, a, x)
         cfg = SslsConfig(OlsSpec(), KnownPropensity(0.5), CrossFitPlan(seed=rep))
         one = Grouping(np.ones(n, dtype=int), 1)
         nf = crossfit_nuisance(d, cfg, one)

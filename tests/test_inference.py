@@ -14,7 +14,6 @@ from ssls.inference import (
     glh_test,
     maxt_critical,
     pairwise_test,
-    pointwise_tests,
     power_min_n,
     simultaneous_cis,
 )
@@ -74,7 +73,7 @@ def test_maxt_domain():
 
 def test_pointwise_null_is_untouched():
     ge = effects([1.0, 2.0], [1.0, 1.0], 100)
-    rep = pointwise_tests(ge, tau0=[1.0, 2.0])
+    rep = simultaneous_cis(ge, tau0=[1.0, 2.0])
     assert np.allclose(rep.t_stat, 0.0)
     assert np.allclose(rep.p_value, 1.0)
 
@@ -82,7 +81,7 @@ def test_pointwise_null_is_untouched():
 def test_pointwise_t_and_p():
     # tau=1, tau0=0, sigma/n = 0.25 -> T = 2, p = 2(1 - Phi(2))
     ge = effects([1.0], [25.0], 100)
-    rep = pointwise_tests(ge)
+    rep = simultaneous_cis(ge)
     assert rep.t_stat[0] == pytest.approx(2.0, abs=1e-12)
     assert rep.p_value[0] == pytest.approx(2.0 * (1.0 - normal_cdf(2.0)), abs=1e-12)
     assert rep.p_value[0] == pytest.approx(0.0455, abs=1e-4)
@@ -169,7 +168,7 @@ def test_glh_identity_example():
 
 def test_glh_row_selector_matches_squared_t():
     ge = effects([1.3, -0.4, 2.0], [2.0, 1.0, 3.0], 77)
-    rep = pointwise_tests(ge, tau0=[1.0, 0.0, 2.0])
+    rep = simultaneous_cis(ge, tau0=[1.0, 0.0, 2.0])
     for g in range(3):
         k = np.zeros((1, 3))
         k[0, g] = 1.0

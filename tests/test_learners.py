@@ -5,7 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from ssls.errors import NonConvergenceWarning, OneArmOnly, SingularDesign, TooFewSamples
+from ssls.errors import (
+    NonConvergenceWarning,
+    OneArmOnly,
+    PropensityOutOfRange,
+    SingularDesign,
+    TooFewSamples,
+)
 from ssls.learners import (
     CartProbSpec,
     CartSpec,
@@ -127,14 +133,19 @@ def test_oracle_regression_passthrough():
     assert np.allclose(model.predict(x), [4.0, 7.0])
 
 
-def test_known_constant_propensity():
-    model = fit_propensity(KnownPropensity(0.9), np.zeros((3, 1)), np.array([1.0, 0, 1]))
-    assert np.allclose(model.predict(np.zeros((5, 1))), 0.9)
+@pytest.mark.parametrize("bad", [0.0, 1.0, np.nan, np.inf, -np.inf])
+def test_known_propensity_range(bad):
+    with pytest.raises(PropensityOutOfRange) as err:
+        KnownPropensity(bad)
+    assert err.value.row is None
+    with pytest.raises(PropensityOutOfRange) as err:
+        KnownPropensity(np.array([0.5, 0.2, bad, 0.7]))
+    assert err.value.row == 2
 
 
-def test_known_clips():
-    model = fit_propensity(KnownPropensity(0.999), np.zeros((3, 1)), np.array([1.0, 0, 1]))
-    assert np.allclose(model.predict(np.zeros((2, 1))), 0.99)
+def test_known_propensity_is_not_fitted():
+    with pytest.raises(ValueError, match="cross-fitting"):
+        fit_propensity(KnownPropensity(0.9), np.zeros((3, 1)), np.array([1.0, 0, 1]))
 
 
 def test_logistic_balanced_intercept_only():

@@ -115,7 +115,6 @@ def test_blob_draw_shapes():
     d, g, tau = draw_blobs(BlobConfig(n=200), stream=Stream(9).child("d"))
     assert d.x.shape == (200, 2)
     assert set(np.unique(g.labels)) == {1, 2}
-    assert d.known_propensity is not None
 
 
 def test_calibration_smoke_and_fields():
