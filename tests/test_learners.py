@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ssls.data import CrossFitPlan
 from ssls.errors import (
     NonConvergenceWarning,
     OneArmOnly,
@@ -26,6 +27,7 @@ from ssls.learners import (
     fit_propensity,
     fit_regression,
 )
+from ssls.estimator import SslsConfig, crossfit_nuisance
 from ssls.rng import Stream
 from ssls.simulation import Dgp1Config, draw_dgp1
 
@@ -141,6 +143,20 @@ def test_known_propensity_range(bad):
     with pytest.raises(PropensityOutOfRange) as err:
         KnownPropensity(np.array([0.5, 0.2, bad, 0.7]))
     assert err.value.row == 2
+
+
+def _known_e_hat(value):
+    d, g, _ = draw_dgp1(Dgp1Config(n=60), stream=Stream(2).child("known"))
+    cfg = SslsConfig(OlsSpec(), KnownPropensity(value), CrossFitPlan(seed=1))
+    return crossfit_nuisance(d, cfg, g).e_hat
+
+
+def test_known_constant_propensity():
+    assert np.allclose(_known_e_hat(0.9), 0.9)
+
+
+def test_known_clips():
+    assert np.allclose(_known_e_hat(0.999), 0.99)
 
 
 def test_known_propensity_is_not_fitted():
