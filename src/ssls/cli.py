@@ -55,25 +55,30 @@ GATE_ERRORS = (GroupTooSmall, OneArmOnly, ClusteringDegenerate)
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.6g}"
     return str(value)
 
 
-def write_csv(path: Path, rows: list[dict]) -> None:
-    if not rows:
-        path.write_text("")
-        return
+def _fmt_column(values) -> list[str]:
+    """_fmt of every value; a float, integer or bool array by its dtype."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return ["%.6g" % v for v in values.tolist()]
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biu":
+        return [str(int(v)) for v in values.tolist()]
+    return [_fmt(v) for v in values]
+
+
+def write_csv(path: Path, columns: dict) -> None:
+    """Write equal-length columns headed by their names; no rows, an empty file."""
+    cells = [_fmt_column(values) for values in columns.values()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = list(rows[0].keys())
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in header])
+        if cells and cells[0]:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(zip(*cells, strict=True))
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -163,15 +168,15 @@ def _write_residuals(out_dir: Path, suffix: str, xcol, residuals, arm, labels,
                      series: dict) -> None:
     """Write residuals_raw{suffix}.csv, one row per observation, and
     residuals_smooth{suffix}.csv, one row per grid point of each arm."""
-    write_csv(out_dir / f"residuals_raw{suffix}.csv", [
-        {"x": x, "residual": r, "arm": int(t), "group": int(g)}
-        for x, r, t, g in zip(xcol, residuals, arm, labels)
-    ])
-    write_csv(out_dir / f"residuals_smooth{suffix}.csv", [
-        {"x_grid": x, "curve": c, "arm": t}
-        for t in (0, 1)
-        for x, c in zip(series[t].grid, series[t].smooth)
-    ])
+    write_csv(out_dir / f"residuals_raw{suffix}.csv", {
+        "x": xcol, "residual": residuals, "arm": arm.astype(np.int64),
+        "group": labels,
+    })
+    write_csv(out_dir / f"residuals_smooth{suffix}.csv", {
+        "x_grid": np.concatenate([series[t].grid for t in (0, 1)]),
+        "curve": np.concatenate([series[t].smooth for t in (0, 1)]),
+        "arm": np.repeat([0, 1], [series[t].grid.size for t in (0, 1)]),
+    })
 
 
 def _residual_outputs(out_dir: Path, dataset, grouping, effects,
@@ -191,11 +196,8 @@ def _residual_outputs(out_dir: Path, dataset, grouping, effects,
 
 
 def _load_contrast(path: str, n_groups: int) -> Contrast:
-    rows = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                rows.append([float(v) for v in row])
+        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
     mat = np.asarray(rows, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[1] != n_groups + 1:
         raise DomainError(
@@ -262,10 +264,7 @@ def cmd_estimate(args) -> int:
             "reject": glh.reject,
         }
     write_json(out_dir / "report.json", payload)
-    write_csv(out_dir / "groups.csv", [
-        {**row, "n_g": int(effects.n_g[row["group"] - 1])}
-        for row in report.csv_rows()
-    ])
+    write_csv(out_dir / "groups.csv", report.csv_columns())
     _residual_outputs(out_dir, dataset, grouping, effects, args)
     print(f"wrote {out_dir}/report.json with {effects.n_groups} groups", file=sys.stderr)
     return 0
@@ -284,20 +283,16 @@ def cmd_discover(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    write_csv(out_dir / "groups.csv", [
-        {"row": int(i), "label": int(lbl)}
-        for i, lbl in zip(result.estimation_indices, result.grouping.labels)
-    ])
-    assert result.clusterer is not None
-    centroid_rows = []
-    for g in range(result.clusterer.n_groups):
-        row = {"label": g + 1}
-        raw = (result.clusterer.centroids[g] * result.clusterer.col_scale
-               + result.clusterer.col_mean)
-        for j, name in enumerate(covariates):
-            row[name] = raw[j]
-        centroid_rows.append(row)
-    write_csv(out_dir / "centroids.csv", centroid_rows)
+    write_csv(out_dir / "groups.csv", {
+        "row": result.estimation_indices, "label": result.grouping.labels,
+    })
+    clusterer = result.clusterer
+    assert clusterer is not None
+    raw = clusterer.centroids * clusterer.col_scale + clusterer.col_mean
+    write_csv(out_dir / "centroids.csv", {
+        "label": np.arange(1, clusterer.n_groups + 1),
+        **{name: raw[:, j] for j, name in enumerate(covariates)},
+    })
     payload = {
         "command": "discover",
         "n_total": dataset.n,
@@ -325,16 +320,12 @@ def cmd_simulate(args) -> int:
                 for sy in sigmas_y]
         results = run_calibration_study(grid, reps=args.reps, n=args.n,
                                    seed=args.seed, workers=args.workers)
-        rows = []
-        for r in results:
-            for g in range(len(r.bias)):
-                rows.append({
-                    "learner": r.learner, "sigma_a": r.sigma_a, "sigma_y": r.sigma_y,
-                    "group": g + 1, "bias": r.bias[g], "ese": r.ese[g],
-                    "ase": r.ase[g], "ese_ase_ratio": r.ese_ase_ratio[g],
-                    "coverage": r.coverage, "reps": r.reps,
-                })
-        write_csv(out_dir / "calibration.csv", rows)
+        rows = [(r.learner, r.sigma_a, r.sigma_y, g + 1, r.bias[g], r.ese[g],
+                 r.ase[g], r.ese_ase_ratio[g], r.coverage, r.reps)
+                for r in results for g in range(len(r.bias))]
+        header = ("learner", "sigma_a", "sigma_y", "group", "bias", "ese", "ase",
+                  "ese_ase_ratio", "coverage", "reps")
+        write_csv(out_dir / "calibration.csv", dict(zip(header, zip(*rows))))
         for r in results:
             print(f"calibration {r.learner} sA={r.sigma_a} sY={r.sigma_y}: "
                   f"{r.runtime:.1f}s", file=sys.stderr)
@@ -342,26 +333,21 @@ def cmd_simulate(args) -> int:
         distances = [float(v) for v in args.distances.split(",")]
         points = run_power_study(distances=distances, reps=args.reps, n=args.n,
                                  seed=args.seed, workers=args.workers)
-        write_csv(out_dir / "power.csv", [
-            {"distance": p.distance, "power": p.rejection_rate, "reps": p.reps}
-            for p in points
-        ])
+        write_csv(out_dir / "power.csv", {
+            "distance": [p.distance for p in points],
+            "power": [p.rejection_rate for p in points],
+            "reps": [p.reps for p in points],
+        })
     elif args.study == "robustness":
-        rows = []
-        for flag in (True, False):
-            for row in run_robustness_study(reps=args.reps, seed=args.seed,
-                                          constant_propensity=flag,
-                                          workers=args.workers):
-                for g in range(len(row.bias)):
-                    rows.append({
-                        "n": row.n,
-                        "constant_propensity": int(row.constant_propensity),
-                        "group": g + 1,
-                        "bias": row.bias[g],
-                        "mc_se": row.mc_se[g],
-                        "reps": row.reps,
-                    })
-        write_csv(out_dir / "robustness.csv", rows)
+        rows = [(row.n, int(row.constant_propensity), g + 1, row.bias[g],
+                 row.mc_se[g], row.reps)
+                for flag in (True, False)
+                for row in run_robustness_study(reps=args.reps, seed=args.seed,
+                                                constant_propensity=flag,
+                                                workers=args.workers)
+                for g in range(len(row.bias))]
+        header = ("n", "constant_propensity", "group", "bias", "mc_se", "reps")
+        write_csv(out_dir / "robustness.csv", dict(zip(header, zip(*rows))))
     elif args.study == "diagnostic":
         for tag, mis in (("correct", False), ("misspecified", True)):
             run = run_diagnostic_once(n=args.n, use_misspecified_m=mis,

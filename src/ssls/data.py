@@ -171,10 +171,7 @@ def validate_dataset(d: Dataset, g: Grouping) -> None:
         )
     if not np.all((d.a == 0.0) | (d.a == 1.0)):
         raise NonBinaryTreatment("treatment vector contains values other than 0/1")
-    finite = np.isfinite(d.x)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise NonFinite(int(row), int(col))
+    check_covariates_finite(d.x)
     if not np.isfinite(d.y).all():
         raise NonFinite(int(np.argmin(np.isfinite(d.y))))
     if g.n_groups < 1:
@@ -187,6 +184,14 @@ def validate_dataset(d: Dataset, g: Grouping) -> None:
     counts = g.counts()
     if (counts == 0).any():
         raise EmptyGroup(int(np.argmin(counts)) + 1)
+
+
+def check_covariates_finite(x: np.ndarray) -> None:
+    """Raise NonFinite at the first non-finite covariate, by row and column."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NonFinite(int(row), int(col))
 
 
 def _chunk_sizes(m: int, k: int) -> list[int]:
@@ -317,26 +322,40 @@ def load_csv(
             )
         return v
 
+    def column(name: str) -> np.ndarray:
+        # One cast parses the column as float() would; a column that fails is
+        # read again cell by cell, which raises naming its first bad row.
+        j = col_index[name]
+        try:
+            values = np.array([row[j] for row in rows], dtype=np.float64)
+            if np.isfinite(values).all():
+                return values
+        except (IndexError, ValueError):
+            pass
+        return np.array([numeric(i, name) for i in range(n)])
+
     n = len(rows)
     if n == 0:
         raise SslsError(f"{path}: no data rows")
-    y = np.array([numeric(i, outcome) for i in range(n)])
-    a_raw = np.array([numeric(i, treatment) for i in range(n)])
+    y = column(outcome)
+    a_raw = column(treatment)
     if not np.all((a_raw == 0.0) | (a_raw == 1.0)):
         bad = int(np.argmax(~((a_raw == 0.0) | (a_raw == 1.0))))
         raise NonBinaryTreatment(
             f"{path}: treatment column '{treatment}' must be 0/1, "
             f"found {a_raw[bad]} at row {bad + 2}"
         )
-    x = np.column_stack([[numeric(i, c) for i in range(n)] for c in covariates])
-    prop = None
-    if propensity is not None:
-        prop = np.array([numeric(i, propensity) for i in range(n)])
+    x = np.column_stack([column(c) for c in covariates])
+    prop = None if propensity is None else column(propensity)
     dataset = Dataset(y, a_raw, x)
 
     grouping = None
     mapping: dict = {}
     if group is not None:
-        labels, mapping = relabel_dense([cell(i, group) for i in range(n)])
+        j = col_index[group]
+        values = [row[j].strip() if j < len(row) else "" for row in rows]
+        if "" in values:
+            values = [cell(i, group) for i in range(n)]  # raises naming the row
+        labels, mapping = relabel_dense(values)
         grouping = Grouping(labels, int(labels.max()), GroupSource.FIXED_RULE)
     return dataset, grouping, mapping, prop

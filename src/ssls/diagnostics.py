@@ -32,17 +32,33 @@ class ResidualSeries:
     bandwidth: float
 
 
+# Kernel weights are built a block of grid points at a time, all of them at
+# once when their matrix fits in _BLOCK_BYTES, so peak memory is bounded by
+# max(_BLOCK_BYTES, 64 n) bytes rather than growing as grid x n. Blocks of a
+# multiple of 8 rows keep BLAS on the matrix-vector kernel of one dense
+# product, so the sums match it exactly.
+_BLOCK_BYTES = 8 << 20
+
+
 def _nw_smooth(x: np.ndarray, resid: np.ndarray, grid: np.ndarray, h: float):
     # Weights underflow to zero far outside the data; those grid points are
     # reported as NaN (no local support).
-    z = (grid[:, None] - x[None, :]) / h
-    w = np.exp(-0.5 * z * z)
-    total = w.sum(axis=1)
+    m = grid.shape[0]
+    rows = max(8, _BLOCK_BYTES // (8 * x.size) // 8 * 8)
+    total, weighted, total_sq = np.empty((3, m))
+    start = 0
+    # A lone last row would take BLAS's vector-vector path; the last block takes it.
+    for stop in [*range(rows, m - 1, rows), m]:
+        z = (grid[start:stop, None] - x[None, :]) / h
+        w = np.exp(-0.5 * z * z)
+        total[start:stop] = w.sum(axis=1)
+        weighted[start:stop] = w @ resid
+        total_sq[start:stop] = (w * w).sum(axis=1)
+        start = stop
     has_support = total > 0.0
-    smooth = np.full(grid.shape[0], np.nan)
-    smooth[has_support] = (w[has_support] @ resid) / total[has_support]
-    total_sq = (w * w).sum(axis=1)
-    effective_n = np.zeros(grid.shape[0])
+    smooth = np.full(m, np.nan)
+    smooth[has_support] = weighted[has_support] / total[has_support]
+    effective_n = np.zeros(m)
     effective_n[has_support] = total[has_support] ** 2 / total_sq[has_support]
     return smooth, effective_n
 

@@ -21,6 +21,7 @@ from .data import (
     GroupEffects,
     Grouping,
     GroupSource,
+    check_covariates_finite,
     make_crossfit_plan,
     validate_dataset,
 )
@@ -252,6 +253,7 @@ def estimate_dssls(
     if isinstance(spec_e, KnownPropensity):
         spec_e = replace(spec_e, values=_known_column(spec_e, n)[est_idx])
 
+    check_covariates_finite(d.x)  # by row of d, before either third is used
     clusterer = None
     if callable(cluster_spec):
         labels_est = np.asarray(cluster_spec(d_est.x), dtype=np.int64)

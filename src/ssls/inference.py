@@ -84,24 +84,14 @@ class InferenceReport:
             ],
         }
 
-    def csv_rows(self) -> list[dict]:
-        return [
-            {
-                "group": g + 1,
-                "n_g": int(self.n_g[g]),
-                "estimate": float(self.tau_hat[g]),
-                "se": float(self.se[g]),
-                "t_stat": float(self.t_stat[g]),
-                "p_value": float(self.p_value[g]),
-                "ci_lo": float(self.ci_lo[g]),
-                "ci_hi": float(self.ci_hi[g]),
-                "ci_simul_lo": float(self.ci_simul_lo[g]),
-                "ci_simul_hi": float(self.ci_simul_hi[g]),
-                "reject_pointwise": int(self.reject_pointwise[g]),
-                "reject_simultaneous": int(self.reject_simul[g]),
-            }
-            for g in range(self.n_groups)
-        ]
+    def csv_columns(self) -> dict:
+        return {"group": np.arange(1, self.n_groups + 1),
+                "n_g": self.n_g.astype(np.int64), "estimate": self.tau_hat,
+                "se": self.se, "t_stat": self.t_stat, "p_value": self.p_value,
+                "ci_lo": self.ci_lo, "ci_hi": self.ci_hi,
+                "ci_simul_lo": self.ci_simul_lo, "ci_simul_hi": self.ci_simul_hi,
+                "reject_pointwise": self.reject_pointwise,
+                "reject_simultaneous": self.reject_simul}
 
 
 def simultaneous_cis(ge: GroupEffects, alpha: float = 0.05, tau0=None) -> InferenceReport:

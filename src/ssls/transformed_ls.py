@@ -52,31 +52,18 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
         raise NotSPD("matrix is not positive definite") from None
 
 
-def _solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = lower.shape[0]
+def _substitute(tri: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """Solve tri x = b for triangular tri, by forward substitution when it is
+    lower triangular and back substitution when it is upper."""
+    d = tri.shape[0]
     out = np.array(b, dtype=np.float64)
-    if out.ndim == 1:
+    squeeze = out.ndim == 1
+    if squeeze:
         out = out[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    for i in range(d):
-        out[i] -= lower[i, :i] @ out[:i]
-        out[i] /= lower[i, i]
-    return out[:, 0] if squeeze else out
-
-
-def _solve_upper(upper: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = upper.shape[0]
-    out = np.array(b, dtype=np.float64)
-    if out.ndim == 1:
-        out = out[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    for i in range(d - 1, -1, -1):
-        out[i] -= upper[i, i + 1:] @ out[i + 1:]
-        out[i] /= upper[i, i]
+    for i in range(d) if lower else range(d - 1, -1, -1):
+        known = slice(0, i) if lower else slice(i + 1, d)
+        out[i] -= tri[i, known] @ out[known]
+        out[i] /= tri[i, i]
     return out[:, 0] if squeeze else out
 
 
@@ -90,7 +77,7 @@ def linear_solve_spd(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     if scale > 0 and np.abs(m - m.T).max() > 1e-8 * scale:
         raise NotSPD("matrix is not symmetric")
     lower = _cholesky(0.5 * (m + m.T))
-    return _solve_upper(lower.T, _solve_lower(lower, b))
+    return _substitute(lower.T, _substitute(lower, b, lower=True), lower=False)
 
 
 def solve_transformed_ls(t: TransformedSample) -> LsEstimate:

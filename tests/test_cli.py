@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ssls import estimator
-from ssls.cli import _build_config, build_parser, main
+from ssls.cli import _build_config, _fmt, build_parser, main, write_csv
 from ssls.data import load_csv, make_crossfit_plan
 from ssls.estimator import _three_way_split
 from ssls.rng import Stream
@@ -320,3 +320,44 @@ def test_nuisance_quality_reads_the_split0_fit(dgp1_csv, tmp_path, monkeypatch,
     report = "report.json" if command == "estimate" else "flags.json"
     quality = json.loads((out / report).read_text())["nuisance_quality"]
     assert quality["outcome_oof_mse"] == expected
+
+
+def _per_row_write_csv(path, rows):
+    """The row-dict writer write_csv replaced, kept as its oracle."""
+    if not rows:
+        path.write_text("")
+        return
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = list(rows[0].keys())
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(row[k]) for k in header])
+
+
+def test_write_csv_bytes_match_per_row_writer(tmp_path):
+    floats = np.array([0.1, -0.0, 1 / 3, 1e-300, 123456789.0, np.nan, np.inf,
+                       -np.inf, 5e-324])
+    n = floats.size
+    columns = {
+        "int": np.arange(-4, n - 4),
+        "uint": np.arange(n, dtype=np.uint8),
+        "bool": np.arange(n) % 3 == 0,
+        "float": floats,
+        "float32": floats.astype(np.float32),
+        "str": np.array(["a", "b,c", 'say "hi"', "", "x y", "line\nbreak",
+                         "nan", "1e5", "\u00e9"]),
+        "mixed": [1, 2.5, True, np.float64(np.nan), np.int32(-3), "s", None,
+                  np.bool_(False), np.float32(0.1)],
+        'quoted "name", too': floats[::-1],
+    }
+    rows = [{k: v[i] for k, v in columns.items()} for i in range(n)]
+    write_csv(tmp_path / "new.csv", columns)
+    _per_row_write_csv(tmp_path / "old.csv", rows)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert new.count(b"\r\n") == n + 1  # the quoted line break stays "\n"
+
+    empty = {"x": np.array([]), "y": []}
+    write_csv(tmp_path / "empty.csv", empty)
+    assert (tmp_path / "empty.csv").read_bytes() == b""

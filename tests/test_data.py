@@ -1,5 +1,8 @@
 """Core data model: validation, fold plans, CSV ingestion."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
 
@@ -201,3 +204,139 @@ def test_dataset_subset_and_se():
 def test_group_source_enum():
     g = Grouping([1, 2], 2, GroupSource.FITTED)
     assert g.source is GroupSource.FITTED
+
+
+def _per_cell_load_csv(path, outcome, treatment, covariates, group=None,
+                       propensity=None):
+    """The cell-by-cell loader load_csv replaced, kept as its oracle."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SslsError(f"{path}: empty file, header row required") from None
+        rows = [row for row in reader if row]
+
+    header = [h.strip() for h in header]
+    col_index = {name: i for i, name in enumerate(header)}
+    needed = [outcome, treatment, *covariates]
+    if group is not None:
+        needed.append(group)
+    if propensity is not None:
+        needed.append(propensity)
+    for name in needed:
+        if name not in col_index:
+            raise SslsError(f"{path}: column '{name}' not found in header {header}")
+
+    def cell(row_i, name):
+        row = rows[row_i]
+        j = col_index[name]
+        if j >= len(row) or row[j].strip() == "":
+            raise SslsError(f"{path}: missing value at row {row_i + 2}, column '{name}'")
+        return row[j].strip()
+
+    def numeric(row_i, name):
+        raw = cell(row_i, name)
+        try:
+            v = float(raw)
+        except ValueError:
+            raise SslsError(
+                f"{path}: cannot parse '{raw}' at row {row_i + 2}, column '{name}'"
+            ) from None
+        if not math.isfinite(v):
+            raise SslsError(
+                f"{path}: non-finite value at row {row_i + 2}, column '{name}'"
+            )
+        return v
+
+    n = len(rows)
+    if n == 0:
+        raise SslsError(f"{path}: no data rows")
+    y = np.array([numeric(i, outcome) for i in range(n)])
+    a_raw = np.array([numeric(i, treatment) for i in range(n)])
+    if not np.all((a_raw == 0.0) | (a_raw == 1.0)):
+        bad = int(np.argmax(~((a_raw == 0.0) | (a_raw == 1.0))))
+        raise NonBinaryTreatment(
+            f"{path}: treatment column '{treatment}' must be 0/1, "
+            f"found {a_raw[bad]} at row {bad + 2}"
+        )
+    x = np.column_stack([[numeric(i, c) for i in range(n)] for c in covariates])
+    prop = None
+    if propensity is not None:
+        prop = np.array([numeric(i, propensity) for i in range(n)])
+    dataset = Dataset(y, a_raw, x)
+    grouping = None
+    mapping = {}
+    if group is not None:
+        labels, mapping = relabel_dense([cell(i, group) for i in range(n)])
+        grouping = Grouping(labels, int(labels.max()), GroupSource.FIXED_RULE)
+    return dataset, grouping, mapping, prop
+
+
+_HEADER = ["y", "a", "x1", "x2", "ps", "grp"]
+_GOOD = [
+    ['"1.5"', "1", " 0.25 ", "1_000", "0.5", '"a,b"'],
+    ["-2e-3", " 0 ", "\t7", "-0", "0.25", "10"],
+    ["", "", "", "", "", ""],
+    ["3", "1.0", "1e300", "4.9e-324", " .75", " 2 "],
+    ["+4.", "0", "-1E5", "0.1", "0.5", "b"],
+]
+
+
+def _load_both(path):
+    kwargs = dict(outcome="y", treatment="a", covariates=["x1", "x2"],
+                  group="grp", propensity="ps")
+    results = []
+    for loader in (load_csv, _per_cell_load_csv):
+        try:
+            results.append(loader(str(path), **kwargs))
+        except SslsError as err:
+            results.append((type(err), str(err)))
+    return results
+
+
+def _assert_same(new, old):
+    if isinstance(old[0], type):
+        assert new == old
+        return
+    (d, g, mapping, ps), (d0, g0, mapping0, ps0) = new, old
+    for got, want in [(d.y, d0.y), (d.a, d0.a), (d.x, d0.x), (ps, ps0),
+                      (g.labels, g0.labels)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert mapping == mapping0 and list(mapping) == list(mapping0)
+    assert g.n_groups == g0.n_groups
+
+
+def _write(path, rows):
+    # blank lines in the table are skipped by both readers
+    path.write_text("\n".join(",".join(r) if any(r) else "" for r in
+                              [_HEADER, *rows]) + "\n")
+
+
+def test_load_csv_matches_per_cell_loader_on_valid_input(tmp_path):
+    path = tmp_path / "good.csv"
+    _write(path, _GOOD)
+    new, old = _load_both(path)
+    assert not isinstance(old[0], type), old
+    _assert_same(new, old)
+    assert old[2] == {"2": 1, "10": 2, "a,b": 3, "b": 4}
+
+
+@pytest.mark.parametrize("bad", ["<short>", "", "  ", "abc", "inf", "nan", "2",
+                                 "0x10", "1__0"])
+def test_load_csv_matches_per_cell_loader_on_bad_cells(tmp_path, bad):
+    # The bad cell goes into every bound column and onto two rows; a later
+    # bad cell in another column must not change which error is reported.
+    path = tmp_path / "bad.csv"
+    for col in range(len(_HEADER)):
+        for row in (0, 3):
+            rows = [list(r) for r in _GOOD]
+            if bad == "<short>":
+                rows[row] = rows[row][:col]
+            else:
+                rows[row][col] = bad
+                rows[4][(col + 1) % len(_HEADER)] = "zzz"
+            _write(path, rows)
+            new, old = _load_both(path)
+            _assert_same(new, old)

@@ -1,10 +1,13 @@
 """Residual smoothing and misspecification flags."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ssls import diagnostics
 from ssls.data import Dataset, GroupEffects
-from ssls.diagnostics import flag_regions, flagged_fraction, residual_series
+from ssls.diagnostics import _nw_smooth, flag_regions, flagged_fraction, residual_series
 from ssls.errors import EmptyArm
 from ssls.rng import Stream
 from ssls.simulation import run_diagnostic_once
@@ -122,3 +125,67 @@ def test_flag_regions_are_maximal_intervals():
         # regions are disjoint and ordered
         for (a_lo, a_hi), (b_lo, b_hi) in zip(regions, regions[1:]):
             assert a_hi < b_lo
+
+
+def _dense_nw_smooth(x, resid, grid, h):
+    """The smoother before it was blocked over the grid, kept as its oracle:
+    one grid x n weight matrix."""
+    z = (grid[:, None] - x[None, :]) / h
+    w = np.exp(-0.5 * z * z)
+    total = w.sum(axis=1)
+    has_support = total > 0.0
+    smooth = np.full(grid.shape[0], np.nan)
+    smooth[has_support] = (w[has_support] @ resid) / total[has_support]
+    total_sq = (w * w).sum(axis=1)
+    effective_n = np.zeros(grid.shape[0])
+    effective_n[has_support] = total[has_support] ** 2 / total_sq[has_support]
+    return smooth, effective_n
+
+
+def _smoother_designs():
+    """(x, residuals, arm, bandwidth, grid size) of the designs tested above."""
+    for n, seed, h in [(50, 0, 0.1), (50, 0, 0.07), (50, 1, 0.05), (200, 4, 0.03)]:
+        d = toy_dataset(n=n, seed=seed)
+        yield d.x[:, 0], Stream(2).normal(n), d.a, h, 200
+    x = np.linspace(0.0, 1.0, 21)
+    yield x, Stream(3).normal(21), np.tile([0.0, 1.0], 11)[:21], 1e-6, 21
+    for mis in (False, True):
+        run = run_diagnostic_once(n=10000, use_misspecified_m=mis, seed=3,
+                                  learner="oracle")
+        yield run.dataset.x[:, 0], run.residuals, run.dataset.a, 0.05, 200
+
+
+@pytest.mark.parametrize("block_bytes", [diagnostics._BLOCK_BYTES, 1])
+def test_blocked_smoother_bit_identical_to_dense(monkeypatch, block_bytes):
+    # A budget of 1 byte forces the smallest blocks, 8 grid points each.
+    monkeypatch.setattr(diagnostics, "_BLOCK_BYTES", block_bytes)
+    for x, resid, a, h, grid_size in _smoother_designs():
+        for arm in (0, 1):
+            xa, ra = x[a == arm], resid[a == arm]
+            grid = np.linspace(x.min(), x.max(), grid_size)
+            for got, want in zip(_nw_smooth(xa, ra, grid, h),
+                                 _dense_nw_smooth(xa, ra, grid, h)):
+                assert np.array_equal(got, want, equal_nan=True), (h, grid_size)
+            # Other grid sizes agree to rounding: the last bits of the dense
+            # product depend on how BLAS splits its rows between threads.
+            for size in (1, 2, 7, 9, 17, 201):
+                grid = np.linspace(x.min(), x.max(), size)
+                got, want = _nw_smooth(xa, ra, grid, h), _dense_nw_smooth(xa, ra, grid, h)
+                assert np.allclose(got[0], want[0], rtol=1e-12,
+                                   atol=1e-12 * np.abs(ra).max(), equal_nan=True)
+                assert np.allclose(got[1], want[1], rtol=1e-12, atol=0.0)
+
+
+def test_smoother_memory_not_grid_by_n():
+    # A dense 200 x n weight matrix per arm, and its square, would take
+    # about 320 MB at this size.
+    n = 100_000
+    d = toy_dataset(n=n, seed=6)
+    ge = make_effects(Stream(7).normal(n), n)
+    tracemalloc.start()
+    try:
+        residual_series(ge, d, bandwidth=0.05, grid_size=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6

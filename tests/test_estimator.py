@@ -361,3 +361,45 @@ def test_dssls_cluster_missing_from_estimation_sample(monkeypatch):
     cfg = SslsConfig(OlsSpec(), KnownPropensity(0.5), CrossFitPlan(seed=32))
     with pytest.raises(ClusteringDegenerate):
         estimate_dssls(d, KMeansSpec(n_groups=2, seed=0, min_group_size=1000), cfg)
+
+
+@pytest.mark.parametrize("third", ["clustering", "estimation"])
+def test_dssls_non_finite_covariate_named_by_data_row(monkeypatch, third):
+    d, _, _ = draw_blobs(BlobConfig(n=300), stream=Stream(16).child("d"))
+    cfg = SslsConfig(OlsSpec(), KnownPropensity(0.5), CrossFitPlan(seed=33))
+    cluster_idx, est_idx = _three_way_split(d.n, seed=33)
+    row = int((cluster_idx if third == "clustering" else est_idx)[3])
+    x = d.x.copy()
+    x[row, 1] = np.nan
+    _no_fitting(monkeypatch)
+    with pytest.raises(NonFinite) as err:
+        estimate_dssls(Dataset(d.y, d.a, x), KMeansSpec(n_groups=2, seed=0), cfg)
+    assert (err.value.row, err.value.col) == (row, 1)
+
+
+def test_outcome_scale_equivariance():
+    # y -> c y scales every m_hat by c and leaves e_hat alone, so tau_hat
+    # scales by c and the standard error by |c|.
+    for seed in range(5):
+        d, g, _ = draw_dgp1(Dgp1Config(n=400), stream=Stream(700 + seed).child("d"))
+        cfg = SslsConfig(OlsSpec(), LogisticSpec(), CrossFitPlan(seed=seed, repeats=3))
+        base = repeated_ssls(d, g, cfg)
+        for c in (-3.0, 0.5, 7.0):
+            scaled = repeated_ssls(Dataset(c * d.y, d.a, d.x), g, cfg)
+            assert np.allclose(scaled.tau_hat, c * base.tau_hat, rtol=1e-9, atol=0.0)
+            assert np.allclose(scaled.se(), abs(c) * base.se(), rtol=1e-9, atol=0.0)
+
+
+def test_group_label_permutation_equivariance():
+    # Unstratified folds do not depend on the labels, and the closed form
+    # sums each group's rows in row order, so renaming groups only reorders
+    # the estimates.
+    for seed in range(5):
+        d, g, _ = draw_dgp1(Dgp1Config(n=400), stream=Stream(800 + seed).child("d"))
+        perm = Stream(seed).child("perm").permutation(g.n_groups)
+        renamed = Grouping(perm[g.labels - 1] + 1, g.n_groups)
+        cfg = SslsConfig(OlsSpec(), LogisticSpec(), CrossFitPlan(seed=seed))
+        base = repeated_ssls(d, g, cfg)
+        moved = repeated_ssls(d, renamed, cfg)
+        assert np.array_equal(moved.tau_hat[perm], base.tau_hat)
+        assert np.array_equal(moved.se()[perm], base.se())

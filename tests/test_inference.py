@@ -214,6 +214,6 @@ def test_report_serialization_roundtrip():
     payload = rep.to_dict()
     assert payload["alpha"] == 0.1
     assert len(payload["groups"]) == 2
-    rows = rep.csv_rows()
-    assert rows[0]["group"] == 1
-    assert set(rows[0]) >= {"estimate", "se", "p_value", "ci_lo", "ci_hi"}
+    columns = rep.csv_columns()
+    assert columns["group"][0] == 1
+    assert set(columns) >= {"estimate", "se", "p_value", "ci_lo", "ci_hi"}
