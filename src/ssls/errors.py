@@ -87,6 +87,17 @@ class GroupTooSmall(SslsError):
         super().__init__(f"group {group} has {size} members, below minimum {minimum}")
 
 
+class ZeroVarianceGroup(SslsError):
+    """A group's plug-in variance is zero or not finite, so it has no
+    standard error; a constant outcome leaves residuals of exactly zero."""
+
+    def __init__(self, group: int, variance: float):
+        self.group = group
+        self.variance = variance
+        super().__init__(f"group {group} has plug-in variance {variance:.3e}, "
+                         "not positive and finite")
+
+
 class ZeroVarianceContrast(SslsError):
     pass
 

@@ -25,7 +25,8 @@ from .data import (
     make_crossfit_plan,
     validate_dataset,
 )
-from .errors import DegenerateGroup, LengthMismatch, OneArmOnly, TooFewSamples
+from .errors import (DegenerateGroup, LengthMismatch, OneArmOnly, TooFewSamples,
+                     ZeroVarianceGroup)
 from .learners import (
     KnownPropensity,
     OracleProbSpec,
@@ -166,13 +167,24 @@ def transformed_sample_from_nuisance(
     return TransformedSample(z_hat=d.y - nf.m_hat, v_hat=v_hat, fold_of=nf.fold_of)
 
 
+def _checked(effects: GroupEffects) -> GroupEffects:
+    """effects, or ZeroVarianceGroup naming the first group whose
+    sigma_gg_hat is not positive and finite, so that no interval or test
+    exists for it. estimate_ssls itself returns the closed form, zeros
+    included; the pipelines whose output feeds inference check it here."""
+    sigma = effects.sigma_gg_hat
+    for idx in np.flatnonzero(~((sigma > 0.0) & (sigma < np.inf))):
+        raise ZeroVarianceGroup(int(idx) + 1, float(sigma[idx]))
+    return effects
+
+
 def _single_run(
     d: Dataset, g: Grouping, cfg: SslsConfig, seed: int
 ) -> tuple[GroupEffects, NuisanceFit]:
     plan = replace(cfg.plan, folds=())
     plan = make_crossfit_plan(d.n, plan, grouping=g, seed=seed)
     nf = crossfit_nuisance(d, replace(cfg, plan=plan), grouping=g)
-    return estimate_ssls(d, g, nf), nf
+    return _checked(estimate_ssls(d, g, nf)), nf
 
 
 def aggregate_effects(runs: list[GroupEffects]) -> GroupEffects:
@@ -217,7 +229,8 @@ def _repeated_runs(
 
 
 def repeated_ssls(d: Dataset, g: Grouping, cfg: SslsConfig) -> GroupEffects:
-    """Run the pipeline cfg.plan.repeats times on fresh splits, take medians."""
+    """Run the pipeline cfg.plan.repeats times on fresh splits, take medians.
+    ZeroVarianceGroup names a group whose variance is zero in some split."""
     return _repeated_runs(d, g, cfg)[0]
 
 
@@ -269,7 +282,7 @@ def estimate_dssls(
 
     sub_cfg = replace(cfg, plan=plan, propensity_spec=spec_e)
     nf = crossfit_nuisance(d_est, sub_cfg, grouping=grouping)
-    effects = estimate_ssls(d_est, grouping, nf)
+    effects = _checked(estimate_ssls(d_est, grouping, nf))
     return DsslsResult(
         effects=effects,
         grouping=grouping,

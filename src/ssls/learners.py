@@ -5,17 +5,27 @@ P(A=1|X) and clip predictions away from 0 and 1. Everything here is
 deterministic: tree splits break ties on (lowest feature index, smallest
 threshold), and the logistic solver is Newton with step-halving that stops
 on the Newton decrement (Boyd & Vandenberghe, Convex Optimization, 9.5).
+
+Trees use exact greedy search over presorted columns (Chen & Guestrin,
+KDD 2016, 4.1). What depends on x alone is computed once per fit and shared
+by every boosting stage: x by feature, each feature's row order, the root's
+valid cuts and the cut counts. Per tree, each node gathers its targets in
+every feature's order and scans all cuts with prefix sums; a child's valid
+cuts are computed only if it is searched, and growth records each training
+row's leaf, so boosting never predicts its own training rows.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import (
+    DomainError,
     NonConvergenceWarning,
     OneArmOnly,
     PropensityOutOfRange,
@@ -45,10 +55,23 @@ class RidgeSpec:
             raise ValueError("ridge penalty must be >= 0")
 
 
+def _check_tree_spec(spec) -> None:
+    """DomainError unless min_leaf >= 1, max_depth >= 0, n_trees >= 0 and
+    shrinkage lies in (0, 1] (the last two where the spec has them)."""
+    for name, low in (("min_leaf", 1), ("max_depth", 0), ("n_trees", 0)):
+        if getattr(spec, name, low) < low:
+            raise DomainError(f"{name} must be >= {low}, got {getattr(spec, name)}")
+    if not 0.0 < getattr(spec, "shrinkage", 1.0) <= 1.0:
+        raise DomainError(f"shrinkage must lie in (0, 1], got {spec.shrinkage}")
+
+
 @dataclass(frozen=True)
 class CartSpec:
     max_depth: int = 2
     min_leaf: int = 10
+
+    def __post_init__(self):
+        _check_tree_spec(self)
 
 
 @dataclass(frozen=True)
@@ -59,8 +82,7 @@ class GbmSpec:
     min_leaf: int = 10
 
     def __post_init__(self):
-        if not 0.0 < self.shrinkage <= 1.0:
-            raise ValueError("shrinkage must lie in (0, 1]")
+        _check_tree_spec(self)
 
 
 @dataclass(frozen=True)
@@ -95,6 +117,9 @@ class CartProbSpec:
     min_leaf: int = 10
     clip: float = DEFAULT_CLIP
 
+    def __post_init__(self):
+        _check_tree_spec(self)
+
 
 @dataclass(frozen=True)
 class GbmProbSpec:
@@ -103,6 +128,9 @@ class GbmProbSpec:
     shrinkage: float = 0.1
     min_leaf: int = 10
     clip: float = DEFAULT_CLIP
+
+    def __post_init__(self):
+        _check_tree_spec(self)
 
 
 @dataclass(frozen=True)
@@ -177,11 +205,11 @@ class _TreeModel(FittedModel):
     """Binary regression tree stored as parallel node arrays."""
 
     def __init__(self, feature, threshold, left, right, value):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.value = value
+        self.feature = np.asarray(feature, dtype=np.int64)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.int64)
+        self.right = np.asarray(right, dtype=np.int64)
+        self.value = np.asarray(value, dtype=np.float64)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -244,113 +272,116 @@ class _ClippedModel(FittedModel):
 # Tree machinery
 
 
-def _best_split_sorted(x: np.ndarray, y: np.ndarray, sorted_ids: np.ndarray,
-                       min_leaf: int):
+_Presort = namedtuple("_Presort", "xt ids valid counts")
+
+
+def _presort(x: np.ndarray, min_leaf: int) -> _Presort:
+    """What the split search needs of x alone, computed once per fit: x by
+    feature, each feature's stable row order, the root's `_valid_cuts` and
+    the counts 1..n as floats."""
+    xt = np.ascontiguousarray(x.T)
+    ids = np.argsort(xt, axis=1, kind="stable")
+    return _Presort(xt, ids, _valid_cuts(xt, ids, min_leaf),
+                    np.arange(1.0, xt.shape[1] + 1.0))
+
+
+def _valid_cuts(xt: np.ndarray, ids: np.ndarray, min_leaf: int) -> np.ndarray:
+    """valid[j, i]: a cut after the node's (min_leaf + i)-th smallest value
+    of feature j separates two distinct values."""
+    m = ids.shape[1]
+    xs = xt.ravel()[ids + np.arange(0, xt.size, xt.shape[1])[:, None]]  # x[ids[j], j]
+    return xs[:, min_leaf - 1:m - min_leaf] < xs[:, min_leaf:m - min_leaf + 1]
+
+
+def _best_split_sorted(pre: _Presort, ids: np.ndarray, valid: Optional[np.ndarray],
+                       ys: np.ndarray, total, min_leaf: int):
     """Exact variance-reduction split search over all features at once.
 
-    ``sorted_ids[:, j]`` holds this node's member rows ordered by feature j
-    (maintained by presort-and-filter, so no sorting happens here). Returns
-    (feature, threshold, gain) or None; exact ties resolve to the lowest
-    feature index, then the smallest threshold (feature-major argmax scan).
+    ``ids[j]`` holds this node's rows ordered by feature j (kept by
+    presort-and-filter, so nothing is sorted here), ``ys = y[ids]``,
+    ``total = ys[0].sum()``, and ``valid`` is the node's `_valid_cuts`, or
+    None to compute them. Returns (feature, threshold, gain) or None; exact
+    ties resolve to the lowest feature index, then the smallest threshold.
     """
-    n, p = sorted_ids.shape
-    if n < 2 * min_leaf:
-        return None
-    ys = y[sorted_ids]
-    total = ys[:, 0].sum()
-    total_sq = (ys[:, 0] ** 2).sum()
-    parent_sse = total_sq - total * total / n
+    m = ids.shape[1]
+    sq = ys * ys
+    total_sq = sq[0].sum()
+    parent_sse = total_sq - total * total / m
     if parent_sse <= 1e-12 * max(total_sq, 1e-300):
         return None  # node is pure up to rounding
-    ks = np.arange(min_leaf, n - min_leaf + 1)
-    if ks.size == 0:
-        return None
-    xs = x[sorted_ids, np.arange(p)[None, :]]
-    cum = np.cumsum(ys, axis=0)
-    cum_sq = np.cumsum(ys * ys, axis=0)
-    left_n = ks[:, None].astype(np.float64)
-    left_sum = cum[ks - 1, :]
-    left_sq = cum_sq[ks - 1, :]
-    sse_left = left_sq - left_sum * left_sum / left_n
-    right_n = n - left_n
+    if valid is None:
+        valid = _valid_cuts(pre.xt, ids, min_leaf)
+    lo, hi = min_leaf - 1, m - min_leaf  # cuts after sorted positions lo..hi-1
+    left_n = pre.counts[lo:hi]
+    left_sum = ys.cumsum(axis=1)[:, lo:hi]
+    left_sq = sq.cumsum(axis=1)[:, lo:hi]
     right_sum = total - left_sum
-    right_sq = total_sq - left_sq
-    sse_right = right_sq - right_sum * right_sum / right_n
-    gains = parent_sse - sse_left - sse_right
-    valid = xs[ks - 1, :] < xs[ks, :]
-    gains = np.where(valid, gains, -np.inf)
-    flat = int(np.argmax(gains.T))  # feature-major: lowest feature, then lowest k
-    j, i = divmod(flat, ks.size)
-    gain = float(gains[i, j])
+    sse_left = left_sq - left_sum * left_sum / left_n
+    sse_right = (total_sq - left_sq) - right_sum * right_sum / left_n[::-1]
+    gains = np.where(valid, parent_sse - sse_left - sse_right, -np.inf)
+    j, i = divmod(int(np.argmax(gains)), hi - lo)
+    gain = float(gains[j, i])
     if not gain > 0.0:
         return None
-    k = int(ks[i])
-    return j, 0.5 * (xs[k - 1, j] + xs[k, j]), gain
+    k = min_leaf + i
+    return j, 0.5 * (pre.xt[j, ids[j, k - 1]] + pre.xt[j, ids[j, k]]), gain
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int,
-               presort: Optional[np.ndarray] = None) -> _TreeModel:
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
+def _grow_tree(y: np.ndarray, max_depth: int, min_leaf: int,
+               pre: _Presort) -> tuple[_TreeModel, np.ndarray]:
+    """One tree on targets y, and the leaf each row of y ends in. Nodes are
+    numbered depth-first as their parent splits; the rows of a leaf at
+    max_depth are partitioned in one feature order only."""
+    feature, threshold, left, right, value = [], [], [], [], []
+    leaf_of = np.empty(y.shape[0], dtype=np.int64)
 
     def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
+        for column, blank in zip((feature, threshold, left, right, value),
+                                 (-1, 0.0, -1, -1, 0.0)):
+            column.append(blank)
         return len(feature) - 1
 
-    if presort is None:
-        presort = np.argsort(x, axis=0, kind="stable")
-    p = x.shape[1]
-    root = new_node()
-    stack = [(root, presort, 0)]
+    stack = [(new_node(), pre.ids, pre.valid, 0)]
     while stack:
-        node, sorted_ids, depth = stack.pop()
-        member_rows = sorted_ids[:, 0]
-        value[node] = float(y[member_rows].mean())
-        if depth >= max_depth or sorted_ids.shape[0] < 2 * min_leaf:
+        node, ids, valid, depth = stack.pop()
+        p, m = ids.shape
+        searched = depth < max_depth and m >= 2 * min_leaf
+        ys = y[ids] if searched else y[ids[:1]]
+        total = ys[0].sum()
+        value[node] = float(total / m)  # what y[ids[0]].mean() computes
+        split = searched and _best_split_sorted(pre, ids, valid, ys, total, min_leaf)
+        if not split:
+            leaf_of[ids[0]] = node
             continue
-        split = _best_split_sorted(x, y, sorted_ids, min_leaf)
-        if split is None:
+        feature[node], threshold[node], _ = split
+        left[node], right[node] = new_node(), new_node()
+        go_left = pre.xt[feature[node]] <= threshold[node]
+        if depth + 1 == max_depth:  # the children are leaves
+            sel = go_left[ids[0]]
+            for child, rows in ((left[node], ids[0][sel]), (right[node], ids[0][~sel])):
+                value[child] = float(y[rows].sum() / rows.size)
+                leaf_of[rows] = child
             continue
-        j, thr, _ = split
-        go_left = x[:, j] <= thr
-        sel = go_left[sorted_ids]
-        m_left = int(sel[:, 0].sum())
-        left_ids = sorted_ids.T[sel.T].reshape(p, m_left).T
-        right_ids = sorted_ids.T[~sel.T].reshape(p, sorted_ids.shape[0] - m_left).T
-        feature[node] = j
-        threshold[node] = thr
-        left[node] = new_node()
-        right[node] = new_node()
-        stack.append((left[node], left_ids, depth + 1))
-        stack.append((right[node], right_ids, depth + 1))
-    return _TreeModel(
-        np.asarray(feature, dtype=np.int64),
-        np.asarray(threshold, dtype=np.float64),
-        np.asarray(left, dtype=np.int64),
-        np.asarray(right, dtype=np.int64),
-        np.asarray(value, dtype=np.float64),
-    )
+        sel = go_left[ids]
+        m_left = int(sel[0].sum())
+        stack.append((left[node], ids[sel].reshape(p, m_left), None, depth + 1))
+        stack.append((right[node], ids[~sel].reshape(p, m - m_left), None, depth + 1))
+    return _TreeModel(feature, threshold, left, right, value), leaf_of
 
 
 def _fit_gbm(x: np.ndarray, y: np.ndarray, spec) -> _GbmModel:
     base = float(y.mean())
     fitted = np.full(y.shape[0], base)
     trees = []
-    mse_path = [float(np.mean((y - fitted) ** 2))]
-    presort = np.argsort(x, axis=0, kind="stable")  # x never changes across stages
+    resid = y - fitted
+    mse_path = [float(np.mean(resid ** 2))]
+    pre = _presort(x, spec.min_leaf)  # x never changes across stages
     for _ in range(spec.n_trees):
-        tree = _grow_tree(x, y - fitted, spec.max_depth, spec.min_leaf,
-                          presort=presort)
-        fitted = fitted + spec.shrinkage * tree.predict(x)
+        tree, leaf_of = _grow_tree(resid, spec.max_depth, spec.min_leaf, pre)
+        fitted = fitted + spec.shrinkage * tree.value[leaf_of]
         trees.append(tree)
-        mse_path.append(float(np.mean((y - fitted) ** 2)))
+        resid = y - fitted
+        mse_path.append(float(np.mean(resid ** 2)))
     return _GbmModel(base, trees, spec.shrinkage, np.asarray(mse_path))
 
 
@@ -452,7 +483,8 @@ def fit_regression(spec: RegressionLearnerSpec, x, y) -> FittedModel:
     if isinstance(spec, RidgeSpec):
         return _LinearModel(*_solve_linear(x, y, spec.lam))
     if isinstance(spec, CartSpec):
-        return _grow_tree(x, y, spec.max_depth, spec.min_leaf)
+        return _grow_tree(y, spec.max_depth, spec.min_leaf,
+                          _presort(x, spec.min_leaf))[0]
     if isinstance(spec, GbmSpec):
         return _fit_gbm(x, y, spec)
     raise TypeError(f"unknown regression spec {spec!r}")
@@ -471,7 +503,8 @@ def fit_propensity(spec: PropensityLearnerSpec, x, a) -> FittedModel:
     if isinstance(spec, LogisticSpec):
         return _fit_logistic(x, a, spec)
     if isinstance(spec, CartProbSpec):
-        tree = _grow_tree(x, a, spec.max_depth, spec.min_leaf)
+        tree, _ = _grow_tree(a, spec.max_depth, spec.min_leaf,
+                             _presort(x, spec.min_leaf))
         return _ClippedModel(tree, spec.clip)
     if isinstance(spec, GbmProbSpec):
         gbm = _fit_gbm(x, a, GbmSpec(spec.n_trees, spec.max_depth,

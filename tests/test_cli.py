@@ -322,6 +322,23 @@ def test_nuisance_quality_reads_the_split0_fit(dgp1_csv, tmp_path, monkeypatch,
     assert quality["outcome_oof_mse"] == expected
 
 
+def test_estimate_zero_variance_group_exit_2(dgp1_csv, tmp_path, capsys):
+    # a constant zero outcome leaves every residual at zero: a named input
+    # error from the estimator, not a NaN deep in inference
+    with open(dgp1_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[0] = "0.0"
+    flat = tmp_path / "flat.csv"
+    with open(flat, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    argv = ["estimate", "--data", str(flat), "--outcome", "y", "--treatment", "a",
+            "--group", "g", "--covariates", "x1,x2,x3", "--learner-y", "ols",
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "error: group 1 has plug-in variance 0.000e+00" in capsys.readouterr().err
+
+
 def _per_row_write_csv(path, rows):
     """The row-dict writer write_csv replaced, kept as its oracle."""
     if not rows:

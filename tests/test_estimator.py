@@ -1,6 +1,7 @@
 """Cross-fitting, the groupwise closed form, D-SSLS, repeated splits."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ssls.errors import (
     NonFinite,
     OneArmOnly,
     TooFewSamples,
+    ZeroVarianceGroup,
 )
 from ssls.estimator import (
     SslsConfig,
@@ -28,6 +30,7 @@ from ssls.estimator import (
 )
 from ssls.learners import (
     CartSpec,
+    GbmProbSpec,
     GbmSpec,
     KnownPropensity,
     LogisticSpec,
@@ -403,3 +406,68 @@ def test_group_label_permutation_equivariance():
         moved = repeated_ssls(d, renamed, cfg)
         assert np.array_equal(moved.tau_hat[perm], base.tau_hat)
         assert np.array_equal(moved.se()[perm], base.se())
+
+
+def test_constant_outcome_names_the_zero_variance_group():
+    # A constant zero outcome is fitted exactly by ols, so every residual is
+    # zero and sigma_gg_hat = 0; repeated_ssls names the first such group
+    # instead of letting inference divide 0 by 0.
+    d, g, _ = draw_dgp1(Dgp1Config(n=400), stream=Stream(40).child("d"))
+    flat = Dataset(np.zeros(d.n), d.a, d.x)
+    cfg = SslsConfig(OlsSpec(), LogisticSpec(), CrossFitPlan(seed=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroVarianceGroup) as err:
+            repeated_ssls(flat, g, cfg)
+    assert (err.value.group, err.value.variance) == (1, 0.0)
+    assert "group 1" in str(err.value)
+
+    # an outcome that is an exact function of x on group 3 alone, with the
+    # oracle outcome model: only group 3's residuals vanish, and it is named
+    def mean(x):
+        return x[:, 0] - x[:, 1]
+
+    y = np.where(g.labels == 3, mean(d.x), d.y)
+    cfg = SslsConfig(OracleSpec(mean), KnownPropensity(0.5), CrossFitPlan(seed=1))
+    with pytest.raises(ZeroVarianceGroup) as err:
+        repeated_ssls(Dataset(y, d.a, d.x), g, cfg)
+    assert (err.value.group, err.value.variance) == (3, 0.0)
+    # estimate_ssls itself returns the closed form, zeros included
+    # (criterion 06 compares it with the generic engine on one-row groups)
+    nf = crossfit_nuisance(Dataset(y, d.a, d.x), cfg, g)
+    assert estimate_ssls(Dataset(y, d.a, d.x), g, nf).sigma_gg_hat[2] == 0.0
+
+
+def _tie_free_design(seed, n=400):
+    """Three continuous covariates (no ties, so every presorted order is
+    unique), four groups cut from them and a logistic treatment."""
+    s = Stream(seed)
+    x = s.child("x").normal(3 * n).reshape(n, 3)
+    labels = 1 + (x[:, 0] > 0.0) + 2 * (x[:, 2] > 0.0)
+    a = s.child("a").bernoulli(1.0 / (1.0 + np.exp(-(0.5 * x[:, 0] - 0.5 * x[:, 1]))))
+    tau = np.array([1.0, 2.0, 3.0, 4.0])[labels - 1]
+    y = x[:, 0] ** 2 + x[:, 1] + tau * a + s.child("eps").normal(n)
+    return Dataset(y, a.astype(np.float64), x), Grouping(labels, 4)
+
+
+@pytest.mark.parametrize("learner_y, learner_e", [(OlsSpec(), LogisticSpec()),
+                                                  (GbmSpec(), GbmProbSpec())])
+def test_row_permutation_invariance(learner_y, learner_e):
+    # Permuting the rows, and the folds to match, leaves every fold's
+    # training set and test set as they were, so only the order of sums
+    # changes; trees see the same presorted orders on tie-free covariates.
+    for seed in range(3):
+        d, g = _tie_free_design(900 + seed)
+        plan = make_crossfit_plan(d.n, CrossFitPlan(seed=seed))
+        cfg = SslsConfig(learner_y, learner_e, plan)
+        base = estimate_ssls(d, g, crossfit_nuisance(d, cfg, g))
+
+        perm = Stream(seed).child("rows").permutation(d.n)
+        new_row = np.argsort(perm)  # old row perm[i] is new row i
+        moved_plan = replace(plan, folds=tuple(np.sort(new_row[f]) for f in plan.folds))
+        d_moved = Dataset(d.y[perm], d.a[perm], d.x[perm])
+        g_moved = Grouping(g.labels[perm], g.n_groups)
+        moved_cfg = SslsConfig(learner_y, learner_e, moved_plan)
+        moved = estimate_ssls(d_moved, g_moved, crossfit_nuisance(d_moved, moved_cfg, g_moved))
+        assert np.allclose(moved.tau_hat, base.tau_hat, rtol=1e-9, atol=0.0)
+        assert np.allclose(moved.se(), base.se(), rtol=1e-9, atol=0.0)

@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+from ssls import learners
 from ssls.data import CrossFitPlan
 from ssls.errors import (
+    DomainError,
     NonConvergenceWarning,
     OneArmOnly,
     PropensityOutOfRange,
@@ -29,7 +31,7 @@ from ssls.learners import (
 )
 from ssls.estimator import SslsConfig, crossfit_nuisance
 from ssls.rng import Stream
-from ssls.simulation import Dgp1Config, draw_dgp1
+from ssls.simulation import DgpDiagConfig, Dgp1Config, draw_dgp1, draw_dgp_diag
 
 
 def test_ols_exact_line():
@@ -261,3 +263,200 @@ def test_gbm_shrinkage_validation():
         GbmSpec(shrinkage=0.0)
     with pytest.raises(ValueError):
         GbmSpec(shrinkage=1.5)
+
+
+_BAD_TREE_SETTINGS = [("min_leaf", 0), ("min_leaf", -3), ("max_depth", -1),
+                      ("n_trees", -1), ("shrinkage", 0.0), ("shrinkage", 1.5),
+                      ("shrinkage", np.nan)]
+
+
+@pytest.mark.parametrize("spec_type, field, bad", [
+    (spec_type, field, bad)
+    for spec_type in (CartSpec, GbmSpec, CartProbSpec, GbmProbSpec)
+    for field, bad in _BAD_TREE_SETTINGS if hasattr(spec_type(), field)
+])
+def test_tree_spec_validated_at_construction(spec_type, field, bad):
+    # DomainError is a ValueError too, so older callers still catch it
+    with pytest.raises(DomainError, match=field):
+        spec_type(**{field: bad})
+    assert getattr(spec_type(**{field: 1}), field) == 1  # the boundary holds
+
+
+# ---------------------------------------------------------------------------
+# The tree grower before per-fit presort facts and leaf ids from growth,
+# kept verbatim as the oracle for bit-identical trees.
+
+
+def _oracle_best_split_sorted(x, y, sorted_ids, min_leaf):
+    n, p = sorted_ids.shape
+    if n < 2 * min_leaf:
+        return None
+    ys = y[sorted_ids]
+    total = ys[:, 0].sum()
+    total_sq = (ys[:, 0] ** 2).sum()
+    parent_sse = total_sq - total * total / n
+    if parent_sse <= 1e-12 * max(total_sq, 1e-300):
+        return None  # node is pure up to rounding
+    ks = np.arange(min_leaf, n - min_leaf + 1)
+    if ks.size == 0:
+        return None
+    xs = x[sorted_ids, np.arange(p)[None, :]]
+    cum = np.cumsum(ys, axis=0)
+    cum_sq = np.cumsum(ys * ys, axis=0)
+    left_n = ks[:, None].astype(np.float64)
+    left_sum = cum[ks - 1, :]
+    left_sq = cum_sq[ks - 1, :]
+    sse_left = left_sq - left_sum * left_sum / left_n
+    right_n = n - left_n
+    right_sum = total - left_sum
+    right_sq = total_sq - left_sq
+    sse_right = right_sq - right_sum * right_sum / right_n
+    gains = parent_sse - sse_left - sse_right
+    valid = xs[ks - 1, :] < xs[ks, :]
+    gains = np.where(valid, gains, -np.inf)
+    flat = int(np.argmax(gains.T))  # feature-major: lowest feature, then lowest k
+    j, i = divmod(flat, ks.size)
+    gain = float(gains[i, j])
+    if not gain > 0.0:
+        return None
+    k = int(ks[i])
+    return j, 0.5 * (xs[k - 1, j] + xs[k, j]), gain
+
+
+def _oracle_grow_tree(x, y, max_depth, min_leaf, presort=None):
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    if presort is None:
+        presort = np.argsort(x, axis=0, kind="stable")
+    p = x.shape[1]
+    root = new_node()
+    stack = [(root, presort, 0)]
+    while stack:
+        node, sorted_ids, depth = stack.pop()
+        member_rows = sorted_ids[:, 0]
+        value[node] = float(y[member_rows].mean())
+        if depth >= max_depth or sorted_ids.shape[0] < 2 * min_leaf:
+            continue
+        split = _oracle_best_split_sorted(x, y, sorted_ids, min_leaf)
+        if split is None:
+            continue
+        j, thr, _ = split
+        go_left = x[:, j] <= thr
+        sel = go_left[sorted_ids]
+        m_left = int(sel[:, 0].sum())
+        left_ids = sorted_ids.T[sel.T].reshape(p, m_left).T
+        right_ids = sorted_ids.T[~sel.T].reshape(p, sorted_ids.shape[0] - m_left).T
+        feature[node] = j
+        threshold[node] = thr
+        left[node] = new_node()
+        right[node] = new_node()
+        stack.append((left[node], left_ids, depth + 1))
+        stack.append((right[node], right_ids, depth + 1))
+    return learners._TreeModel(
+        np.asarray(feature, dtype=np.int64),
+        np.asarray(threshold, dtype=np.float64),
+        np.asarray(left, dtype=np.int64),
+        np.asarray(right, dtype=np.int64),
+        np.asarray(value, dtype=np.float64),
+    )
+
+
+def _oracle_fit_gbm(x, y, spec):
+    base = float(y.mean())
+    fitted = np.full(y.shape[0], base)
+    trees = []
+    mse_path = [float(np.mean((y - fitted) ** 2))]
+    presort = np.argsort(x, axis=0, kind="stable")
+    for _ in range(spec.n_trees):
+        tree = _oracle_grow_tree(x, y - fitted, spec.max_depth, spec.min_leaf,
+                                 presort=presort)
+        fitted = fitted + spec.shrinkage * tree.predict(x)
+        trees.append(tree)
+        mse_path.append(float(np.mean((y - fitted) ** 2)))
+    return learners._GbmModel(base, trees, spec.shrinkage, np.asarray(mse_path))
+
+
+_TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
+
+
+def _oracle_designs():
+    """(name, x, target) on which the oracle and the grower are compared: the
+    CART and GBM test designs, DGP1, the diagnostic DGP, and random designs
+    with rounded or binary columns, so that cuts between tied values occur."""
+    s = Stream(3)
+    yield "cart", s.normal(200 * 2).reshape(200, 2), s.normal(200)
+    s = Stream(4)
+    x = s.normal(300 * 3).reshape(300, 3)
+    yield "gbm", x, x[:, 0] ** 2 + s.normal(300)
+    d, _, _ = draw_dgp1(Dgp1Config(n=600), stream=Stream(5).child("oracle"))
+    yield "dgp1-y", d.x, d.y
+    yield "dgp1-a", d.x, d.a
+    d, _, _ = draw_dgp_diag(DgpDiagConfig(n=800), stream=Stream(6).child("oracle"))
+    yield "diag", d.x, d.y
+    for seed in range(3):
+        s = Stream(900 + seed)
+        x = s.normal(400 * 4).reshape(400, 4)
+        x[:, 1] = np.round(x[:, 1], 1)
+        x[:, 2] = (x[:, 2] > 0.3).astype(float)
+        x[:, 3] = np.round(2.0 * x[:, 3])
+        target = x[:, 0] * x[:, 2] + x[:, 3] + s.normal(400)
+        yield f"random-{seed}", x, target
+        yield f"random-{seed}-binary", x, (target > 0.5).astype(float)
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 3])
+@pytest.mark.parametrize("min_leaf", [1, 5, 10])
+def test_tree_grower_bit_identical_to_oracle(max_depth, min_leaf):
+    held_out = Stream(11).normal(60 * 5).reshape(60, 5)
+    for name, x, target in _oracle_designs():
+        x_new = held_out[:, :x.shape[1]]
+        cart = fit_regression(CartSpec(max_depth, min_leaf), x, target)
+        want = _oracle_grow_tree(x, target, max_depth, min_leaf)
+        for field in _TREE_FIELDS:
+            assert np.array_equal(getattr(cart, field), getattr(want, field)), (name, field)
+        assert np.array_equal(cart.predict(x_new), want.predict(x_new)), name
+
+        spec = GbmSpec(n_trees=15, max_depth=max_depth, min_leaf=min_leaf)
+        gbm = fit_regression(spec, x, target)
+        want = _oracle_fit_gbm(x, target, spec)
+        assert gbm.base == want.base
+        assert np.array_equal(gbm.train_mse_path, want.train_mse_path), name
+        for got_tree, want_tree in zip(gbm.trees, want.trees, strict=True):
+            for field in _TREE_FIELDS:
+                assert np.array_equal(getattr(got_tree, field),
+                                      getattr(want_tree, field)), (name, field)
+        assert np.array_equal(gbm.predict(x_new), want.predict(x_new)), name
+
+
+def test_gbm_fitted_values_come_from_growth(monkeypatch):
+    # _fit_gbm updates its fitted values from the leaf ids growth returns:
+    # no tree ever predicts the training rows, and the residuals each stage
+    # fits are bit for bit those of base + sum of shrinkage * tree.predict(x)
+    d, _, _ = draw_dgp1(Dgp1Config(n=500), stream=Stream(12).child("leaf"))
+    spec = GbmSpec(n_trees=25, max_depth=3, min_leaf=5)
+    predict_calls = []
+    targets = []
+    tree_predict = learners._TreeModel.predict
+    grow = learners._grow_tree
+    monkeypatch.setattr(learners._TreeModel, "predict",
+                        lambda self, x: predict_calls.append(1) or tree_predict(self, x))
+    monkeypatch.setattr(learners, "_grow_tree",
+                        lambda y, *rest: targets.append(y.copy()) or grow(y, *rest))
+    model = fit_regression(spec, d.x, d.y)
+    monkeypatch.undo()
+    assert predict_calls == []
+
+    fitted = np.full(d.n, model.base)
+    for stage, tree in enumerate(model.trees):
+        assert np.array_equal(targets[stage], d.y - fitted), stage
+        fitted = fitted + spec.shrinkage * tree.predict(d.x)
+    assert model.train_mse_path[-1] == float(np.mean((d.y - fitted) ** 2))
+    assert np.array_equal(model.predict(d.x), fitted)
