@@ -25,8 +25,8 @@ from .data import (
     make_crossfit_plan,
     validate_dataset,
 )
-from .errors import (DegenerateGroup, LengthMismatch, OneArmOnly, TooFewSamples,
-                     ZeroVarianceGroup)
+from .errors import DegenerateGroup, LengthMismatch, OneArmOnly, TooFewSamples
+from .inference import check_variances
 from .learners import (
     KnownPropensity,
     OracleProbSpec,
@@ -167,24 +167,13 @@ def transformed_sample_from_nuisance(
     return TransformedSample(z_hat=d.y - nf.m_hat, v_hat=v_hat, fold_of=nf.fold_of)
 
 
-def _checked(effects: GroupEffects) -> GroupEffects:
-    """effects, or ZeroVarianceGroup naming the first group whose
-    sigma_gg_hat is not positive and finite, so that no interval or test
-    exists for it. estimate_ssls itself returns the closed form, zeros
-    included; the pipelines whose output feeds inference check it here."""
-    sigma = effects.sigma_gg_hat
-    for idx in np.flatnonzero(~((sigma > 0.0) & (sigma < np.inf))):
-        raise ZeroVarianceGroup(int(idx) + 1, float(sigma[idx]))
-    return effects
-
-
 def _single_run(
     d: Dataset, g: Grouping, cfg: SslsConfig, seed: int
 ) -> tuple[GroupEffects, NuisanceFit]:
     plan = replace(cfg.plan, folds=())
     plan = make_crossfit_plan(d.n, plan, grouping=g, seed=seed)
     nf = crossfit_nuisance(d, replace(cfg, plan=plan), grouping=g)
-    return _checked(estimate_ssls(d, g, nf)), nf
+    return check_variances(estimate_ssls(d, g, nf)), nf
 
 
 def aggregate_effects(runs: list[GroupEffects]) -> GroupEffects:
@@ -282,7 +271,7 @@ def estimate_dssls(
 
     sub_cfg = replace(cfg, plan=plan, propensity_spec=spec_e)
     nf = crossfit_nuisance(d_est, sub_cfg, grouping=grouping)
-    effects = _checked(estimate_ssls(d_est, grouping, nf))
+    effects = check_variances(estimate_ssls(d_est, grouping, nf))
     return DsslsResult(
         effects=effects,
         grouping=grouping,

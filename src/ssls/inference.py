@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import GroupEffects
 from .dists import chisq_cdf, chisq_quantile, normal_cdf, normal_quantile
-from .errors import DomainError, ZeroVarianceContrast
+from .errors import DomainError, ZeroVarianceContrast, ZeroVarianceGroup
 
 
 def maxt_critical(alpha: float, n_comparisons: int) -> float:
@@ -94,15 +94,27 @@ class InferenceReport:
                 "reject_simultaneous": self.reject_simul}
 
 
+def check_variances(effects: GroupEffects) -> GroupEffects:
+    """effects, or ZeroVarianceGroup naming the first group whose
+    sigma_gg_hat is not positive and finite, so that no interval or test
+    exists for it. estimate_ssls returns the closed form, zeros included;
+    the pipelines whose output feeds inference, and simultaneous_cis itself,
+    check it here."""
+    for g, sigma in enumerate(effects.sigma_gg_hat.tolist(), start=1):
+        if not 0.0 < sigma < math.inf:
+            raise ZeroVarianceGroup(g, sigma)
+    return effects
+
+
 def simultaneous_cis(ge: GroupEffects, alpha: float = 0.05, tau0=None) -> InferenceReport:
     """Per-group t-tests of tau_g = tau0_g (tau0 defaults to zero) with
     two-sided normal p-values, pointwise intervals at z_crit, and
     simultaneous intervals at q_crit, which control the familywise error
-    rate at alpha."""
+    rate at alpha. ZeroVarianceGroup names a group with no standard error."""
     tau0 = np.zeros(ge.n_groups) if tau0 is None else np.asarray(tau0, dtype=np.float64)
     if tau0.shape != (ge.n_groups,):
         raise ValueError(f"tau0 must have length {ge.n_groups}")
-    se = ge.se()
+    se = check_variances(ge).se()
     t_stat = (ge.tau_hat - tau0) / se
     p_value = np.array([2.0 * normal_cdf(-abs(t)) for t in t_stat])
     z = normal_quantile(1.0 - alpha / 2.0)

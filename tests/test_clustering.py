@@ -6,7 +6,8 @@ import pytest
 from ssls import clustering
 from ssls.clustering import FittedClusterer, KMeansSpec, fit_kmeans, gate_grouping
 from ssls.data import Dataset
-from ssls.errors import ClusteringDegenerate, GroupTooSmall, OneArmOnly, TooFewSamples
+from ssls.errors import (ClusteringDegenerate, DomainError, GroupTooSmall, NonFinite,
+                         OneArmOnly, SslsError, TooFewSamples)
 from ssls.rng import Stream
 
 
@@ -258,3 +259,155 @@ def test_lloyd_one_distance_pass_per_iteration(monkeypatch):
         _, _, path = clustering._lloyd(z, init, max_iter=100)
         assert len(path) > 1
         assert len(calls) == len(path) + 1
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_groups", 1), ("n_groups", 0), ("max_iter", 0), ("max_iter", -3),
+    ("n_restarts", 0), ("n_restarts", -1), ("min_group_size", 0),
+])
+def test_kmeans_spec_validated_at_construction(name, value):
+    with pytest.raises(DomainError) as err:
+        KMeansSpec(**{"n_groups": 2, name: value})
+    assert isinstance(err.value, SslsError) and isinstance(err.value, ValueError)
+    assert str(err.value) == f"{name} must be >= {2 if name == 'n_groups' else 1}, got {value}"
+    KMeansSpec(n_groups=2, max_iter=1, n_restarts=1, min_group_size=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_kmeans_names_a_non_finite_covariate(bad):
+    x = blobs(40, [(-3.0, 0.0), (3.0, 0.0)], seed=50)
+    x[17, 1] = bad
+    with pytest.raises(NonFinite) as err:
+        fit_kmeans(x, KMeansSpec(n_groups=2, seed=51))
+    assert (err.value.row, err.value.col) == (17, 1)
+    with pytest.raises(NonFinite) as err:
+        fit_kmeans(x[:, 1], KMeansSpec(n_groups=2, seed=51, standardize=False))
+    assert (err.value.row, err.value.col) == (17, 0)
+
+
+# Ties: squared distances between small integers are exact, so lattice rows
+# lie exactly as far from two or three of these centroids; the first and
+# last coincide, so the last owns no row until it is re-seeded.
+
+def _lattice():
+    g = np.arange(-2.0, 3.0)
+    return np.array([(a, b) for a in g for b in g] * 3)
+
+
+_TIED_CENTROIDS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+
+
+def _argmin_oracle(d2_kn):
+    labels = np.argmin(d2_kn, axis=0)
+    return labels, d2_kn[labels, np.arange(d2_kn.shape[1])]
+
+
+def test_lloyd_ties_match_argmin(monkeypatch):
+    seen = []
+    nearest = clustering._nearest
+
+    def recording(d2):
+        labels, dist = nearest(d2)
+        seen.append((d2.copy(), labels.copy(), dist.copy()))
+        return labels, dist
+
+    monkeypatch.setattr(clustering, "_nearest", recording)
+    z = _lattice()
+    centroids, labels, path = clustering._lloyd(z, _TIED_CENTROIDS.copy(), max_iter=100)
+    first = seen[0][0]
+    n_at_min = (first == first.min(axis=0)).sum(axis=0)
+    assert (n_at_min == 2).any() and (n_at_min >= 3).any()
+    assert len(seen) == len(path) + 1
+    for d2, got_labels, got_dist in seen:
+        want_labels, want_dist = _argmin_oracle(d2)
+        assert np.array_equal(got_labels, want_labels)
+        assert np.array_equal(got_dist, want_dist)
+    assert np.array_equal(labels, seen[-1][1])
+    ref = _broadcast_lloyd(z, _TIED_CENTROIDS.copy(), max_iter=100)
+    assert np.array_equal(centroids, ref[0])
+    assert np.array_equal(labels, ref[1])
+    assert path == ref[2]
+
+
+def test_assign_ties_match_argmin():
+    z = _lattice()
+    fc = FittedClusterer(centroids=_TIED_CENTROIDS, col_mean=np.zeros(2),
+                         col_scale=np.ones(2), inertia=0.0, inertia_path=(0.0,))
+    labels = fc.assign(z)
+    assert np.array_equal(labels, np.argmin(_broadcast_d2(z, _TIED_CENTROIDS), axis=1) + 1)
+    assert not (labels == 4).any()  # coincident with centroid 1, which wins
+
+
+# The column-wise kernel that the (k, n) running minimum and the bincount
+# centroid update replaced: (n, k) distances, argmin labels, and a mean over
+# each cluster's rows.
+
+def _nk_sq_dist(z, centroids):
+    zt = np.ascontiguousarray(z.T)
+    d2 = np.zeros((centroids.shape[0], z.shape[0]))
+    for f in range(z.shape[1]):
+        d2 += (zt[f] - centroids[:, f, None]) ** 2
+    return d2.T
+
+
+def _mask_mean_lloyd(z, centroids, max_iter):
+    n, k = z.shape[0], centroids.shape[0]
+    rows = np.arange(n)
+    d2 = _nk_sq_dist(z, centroids)
+    labels = np.argmin(d2, axis=1)
+    dist_own = d2[rows, labels]
+    path = []
+    prev = np.inf
+    for _ in range(max_iter):
+        for j in range(k):
+            members = labels == j
+            if members.any():
+                centroids[j] = z[members].mean(axis=0)
+            else:
+                far = int(np.argmax(dist_own))
+                centroids[j] = z[far]
+                labels[far] = j
+                dist_own[far] = -1.0
+        d2 = _nk_sq_dist(z, centroids)
+        labels = np.argmin(d2, axis=1)
+        dist_own = d2[rows, labels]
+        inertia = float(dist_own.sum())
+        path.append(inertia)
+        if inertia >= prev - 1e-12 * max(prev, 1.0):
+            break
+        prev = inertia
+    return centroids, labels, path
+
+
+def test_lloyd_bit_identical_on_a_discover_shaped_design():
+    # Two continuous and three binary covariates, standardized as fit_kmeans
+    # does, four clusters: the shape that discover clusters on its third.
+    s = Stream(60)
+    n = 30_000
+    x = np.column_stack([s.normal(n), s.normal(n)]
+                        + [s.bernoulli(0.5, n).astype(float) for _ in range(3)])
+    z = (x - x.mean(axis=0)) / x.std(axis=0)
+    root = Stream(61).child("kmeans")
+    iters = 0
+    for r in range(3):
+        init = clustering._plusplus_init(z, 4, root.child(r))
+        ref = _broadcast_lloyd(z, init.copy(), max_iter=100)
+        for lloyd in (clustering._lloyd, _mask_mean_lloyd):
+            got = lloyd(z, init.copy(), max_iter=100)
+            assert np.array_equal(got[0], ref[0])
+            assert np.array_equal(got[1], ref[1])
+            assert got[2] == ref[2]
+        iters += len(ref[2])
+    assert iters > 10  # several Lloyd iterations were compared
+
+
+def test_fit_kmeans_keeps_the_lowest_inertia_restart():
+    x = _overlapping_blobs(2, seed=71)
+    spec = KMeansSpec(n_groups=3, seed=72, n_restarts=6)
+    z = (x - x.mean(axis=0)) / x.std(axis=0)
+    root = Stream(72).child("kmeans")
+    paths = [clustering._lloyd(z, clustering._plusplus_init(z, 3, root.child(r)), 100)[2]
+             for r in range(6)]
+    best = min(range(6), key=lambda r: (paths[r][-1], r))
+    assert best > 0  # a later restart improves on the first
+    assert fit_kmeans(x, spec).inertia_path == tuple(paths[best])

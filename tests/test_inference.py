@@ -1,13 +1,14 @@
 """Testing and intervals: maxT, pointwise, pairwise, GLH, power rule."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ssls.data import GroupEffects
 from ssls.dists import normal_cdf, normal_quantile
-from ssls.errors import DomainError, ZeroVarianceContrast
+from ssls.errors import DomainError, ZeroVarianceContrast, ZeroVarianceGroup
 from ssls.inference import (
     Contrast,
     all_pairwise,
@@ -124,6 +125,20 @@ def test_simultaneous_width_ratio_g4():
     swidth = rep.ci_simul_hi - rep.ci_simul_lo
     expected = maxt_critical(0.05, 4) / normal_quantile(0.975)
     assert np.allclose(swidth / width, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("sigma, group", [
+    ([1.0, 0.0, 1.0], 2), ([0.0, 0.0, 1.0], 1), ([1.0, 1.0, -0.5], 3),
+    ([np.nan, 1.0, 1.0], 1), ([1.0, np.inf, 1.0], 2),
+])
+def test_simultaneous_cis_rejects_a_zero_or_non_finite_variance(sigma, group):
+    ge = effects([1.0, 2.0, 3.0], sigma, 90)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroVarianceGroup) as err:
+            simultaneous_cis(ge)
+    assert err.value.group == group
+    assert f"group {group} " in str(err.value)
 
 
 def test_pairwise_examples():
