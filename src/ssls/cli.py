@@ -150,6 +150,8 @@ def _load(args, need_group: bool):
 
 
 def _build_config(args, known: KnownPropensity | None) -> SslsConfig:
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     plan = CrossFitPlan(
         n_folds=args.folds,
         stratified=args.stratified,
@@ -160,7 +162,6 @@ def _build_config(args, known: KnownPropensity | None) -> SslsConfig:
         regression_spec=_regression_spec(args.learner_y),
         propensity_spec=_propensity_spec(args.learner_e, known),
         plan=plan,
-        alpha=args.alpha,
     )
 
 
@@ -349,9 +350,7 @@ def cmd_simulate(args) -> int:
         header = ("n", "constant_propensity", "group", "bias", "mc_se", "reps")
         write_csv(out_dir / "robustness.csv", dict(zip(header, zip(*rows))))
     elif args.study == "diagnostic":
-        for tag, mis in (("correct", False), ("misspecified", True)):
-            run = run_diagnostic_once(n=args.n, use_misspecified_m=mis,
-                                      seed=args.seed)
+        for tag, run in run_diagnostic_once(n=args.n, seed=args.seed).items():
             _write_residuals(out_dir, f"_{tag}", run.dataset.x[:, 0], run.residuals,
                              run.dataset.a, run.grouping.labels, run.series)
     else:

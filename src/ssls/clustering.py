@@ -64,8 +64,11 @@ class FittedClusterer:
         return self.centroids.shape[0]
 
     def assign(self, x: np.ndarray) -> np.ndarray:
-        """Nearest-centroid labels in 1..G; ties go to the lowest label."""
-        zt = np.ascontiguousarray(((_as_2d(x) - self.col_mean) / self.col_scale).T)
+        """Nearest-centroid labels in 1..G; ties go to the lowest label.
+        NonFinite names the first non-finite covariate, by row and column."""
+        x = _as_2d(x)
+        check_covariates_finite(x)
+        zt = np.ascontiguousarray(((x - self.col_mean) / self.col_scale).T)
         return _nearest(_sq_dist(zt, self.centroids))[0].astype(np.int64) + 1
 
 

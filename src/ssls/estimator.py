@@ -44,11 +44,6 @@ class SslsConfig:
     regression_spec: RegressionLearnerSpec
     propensity_spec: PropensityLearnerSpec
     plan: CrossFitPlan
-    alpha: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -167,11 +162,12 @@ def transformed_sample_from_nuisance(
     return TransformedSample(z_hat=d.y - nf.m_hat, v_hat=v_hat, fold_of=nf.fold_of)
 
 
-def _single_run(
+def single_run(
     d: Dataset, g: Grouping, cfg: SslsConfig, seed: int
 ) -> tuple[GroupEffects, NuisanceFit]:
-    plan = replace(cfg.plan, folds=())
-    plan = make_crossfit_plan(d.n, plan, grouping=g, seed=seed)
+    """One split: folds of cfg.plan drawn from seed, cross-fitted nuisances,
+    the closed form, and ZeroVarianceGroup for a group with no variance."""
+    plan = make_crossfit_plan(d.n, cfg.plan, grouping=g, seed=seed)
     nf = crossfit_nuisance(d, replace(cfg, plan=plan), grouping=g)
     return check_variances(estimate_ssls(d, g, nf)), nf
 
@@ -210,9 +206,9 @@ def _repeated_runs(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     root = Stream(cfg.plan.seed).child("repeat")
-    first, first_fit = _single_run(d, g, cfg, seed=root.child(0).key)
+    first, first_fit = single_run(d, g, cfg, seed=root.child(0).key)
     runs = [first] + [
-        _single_run(d, g, cfg, seed=root.child(s).key)[0] for s in range(1, repeats)
+        single_run(d, g, cfg, seed=root.child(s).key)[0] for s in range(1, repeats)
     ]
     return aggregate_effects(runs), first_fit
 
@@ -265,13 +261,9 @@ def estimate_dssls(
         clusterer = fit_kmeans(d.x[cluster_idx], cluster_spec)
         grouping = gate_grouping(clusterer, d_est, cluster_spec)
 
-    plan = replace(cfg.plan, folds=())
     seed_est = Stream(cfg.plan.seed).child("dssls-estimation").key
-    plan = make_crossfit_plan(d_est.n, plan, grouping=grouping, seed=seed_est)
-
-    sub_cfg = replace(cfg, plan=plan, propensity_spec=spec_e)
-    nf = crossfit_nuisance(d_est, sub_cfg, grouping=grouping)
-    effects = check_variances(estimate_ssls(d_est, grouping, nf))
+    effects, _ = single_run(d_est, grouping, replace(cfg, propensity_spec=spec_e),
+                            seed=seed_est)
     return DsslsResult(
         effects=effects,
         grouping=grouping,

@@ -190,15 +190,11 @@ class _LinearModel(FittedModel):
 
 
 class _OracleModel(FittedModel):
-    def __init__(self, fn, clip: Optional[float] = None):
+    def __init__(self, fn):
         self.fn = fn
-        self.clip = clip
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.fn(np.asarray(x, dtype=np.float64)), dtype=np.float64)
-        if self.clip is not None:
-            out = np.clip(out, self.clip, 1.0 - self.clip)
-        return out
+        return np.asarray(self.fn(np.asarray(x, dtype=np.float64)), dtype=np.float64)
 
 
 class _TreeModel(FittedModel):
@@ -246,19 +242,19 @@ class _GbmModel(FittedModel):
 
 
 class _LogisticModel(FittedModel):
-    def __init__(self, intercept, coef, clip, converged):
+    def __init__(self, intercept, coef, converged):
         self.intercept = intercept
         self.coef = coef
-        self.clip = clip
         self.converged = converged
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         eta = self.intercept + np.asarray(x, dtype=np.float64) @ self.coef
-        p = 1.0 / (1.0 + np.exp(-np.clip(eta, -500, 500)))
-        return np.clip(p, self.clip, 1.0 - self.clip)
+        return 1.0 / (1.0 + np.exp(-np.clip(eta, -500, 500)))
 
 
 class _ClippedModel(FittedModel):
+    """A fitted propensity model whose predictions lie in [clip, 1 - clip]."""
+
     def __init__(self, inner: FittedModel, clip: float):
         self.inner = inner
         self.clip = clip
@@ -451,7 +447,7 @@ def _fit_logistic(x: np.ndarray, a: np.ndarray, spec: LogisticSpec) -> _Logistic
             "logistic fit stopped before reaching tolerance; returning last iterate",
             NonConvergenceWarning,
         )
-    return _LogisticModel(float(beta[0]), beta[1:], spec.clip, converged)
+    return _LogisticModel(float(beta[0]), beta[1:], converged)
 
 
 # ---------------------------------------------------------------------------
@@ -491,23 +487,25 @@ def fit_regression(spec: RegressionLearnerSpec, x, y) -> FittedModel:
 
 
 def fit_propensity(spec: PropensityLearnerSpec, x, a) -> FittedModel:
-    """Fit a treatment-probability learner; predictions are clipped."""
+    """Fit a treatment-probability learner; the fitted model is wrapped in
+    _ClippedModel, so its predictions are clipped to [spec.clip, 1 - spec.clip]
+    and its `inner` is the unclipped model."""
     if isinstance(spec, KnownPropensity):
         raise ValueError("known propensities are resolved by cross-fitting, "
                          "not fitted")
     x, a = _check_matrix(x, a)
     if isinstance(spec, OracleProbSpec):
-        return _OracleModel(spec.fn, clip=spec.clip)
-    if not ((a == 1.0).any() and (a == 0.0).any()):
+        model = _OracleModel(spec.fn)
+    elif not ((a == 1.0).any() and (a == 0.0).any()):
         raise OneArmOnly("training sample")
-    if isinstance(spec, LogisticSpec):
-        return _fit_logistic(x, a, spec)
-    if isinstance(spec, CartProbSpec):
-        tree, _ = _grow_tree(a, spec.max_depth, spec.min_leaf,
-                             _presort(x, spec.min_leaf))
-        return _ClippedModel(tree, spec.clip)
-    if isinstance(spec, GbmProbSpec):
-        gbm = _fit_gbm(x, a, GbmSpec(spec.n_trees, spec.max_depth,
-                                     spec.shrinkage, spec.min_leaf))
-        return _ClippedModel(gbm, spec.clip)
-    raise TypeError(f"unknown propensity spec {spec!r}")
+    elif isinstance(spec, LogisticSpec):
+        model = _fit_logistic(x, a, spec)
+    elif isinstance(spec, CartProbSpec):
+        model = _grow_tree(a, spec.max_depth, spec.min_leaf,
+                           _presort(x, spec.min_leaf))[0]
+    elif isinstance(spec, GbmProbSpec):
+        model = _fit_gbm(x, a, GbmSpec(spec.n_trees, spec.max_depth,
+                                       spec.shrinkage, spec.min_leaf))
+    else:
+        raise TypeError(f"unknown propensity spec {spec!r}")
+    return _ClippedModel(model, spec.clip)

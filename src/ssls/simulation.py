@@ -2,7 +2,10 @@
 
 Every study derives one independent stream per repetition from
 (seed, study, cell, rep), so results are identical no matter how reps are
-scheduled, and parallel workers change nothing but wall-clock time.
+scheduled, and parallel workers change nothing but wall-clock time. Each
+replicate runs estimator.single_run, the pipelines' own split-and-estimate
+step. The diagnostic study analyzes each draw under both the correct and the
+misspecified grouping, which share one cross-fit of the nuisances.
 """
 
 from __future__ import annotations
@@ -10,13 +13,14 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import CrossFitPlan, Dataset, Grouping, GroupSource
 from .diagnostics import flag_regions, flagged_fraction, residual_series
-from .estimator import SslsConfig, crossfit_nuisance, estimate_ssls
+from .estimator import SslsConfig, estimate_ssls, single_run
 from .inference import maxt_critical, simultaneous_cis
 from .learners import (
     CartProbSpec,
@@ -115,11 +119,11 @@ def draw_dgp1(cfg: Dgp1Config, stream: Optional[Stream] = None):
 @dataclass(frozen=True)
 class DgpDiagConfig:
     """Single uniform covariate, fair-coin treatment, quadratic outcome with
-    a two-group step effect; optionally analyzed under a three-group rule
-    whose middle band straddles the true effect boundary."""
+    a two-group step effect; each draw is analyzed under that grouping and
+    under a three-group rule whose middle band straddles the true effect
+    boundary."""
 
     n: int = 10000
-    use_misspecified_m: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -153,19 +157,20 @@ class DgpDiagTruth:
 
 
 def draw_dgp_diag(cfg: DgpDiagConfig, stream: Optional[Stream] = None):
-    """One draw: returns (Dataset, Grouping, DgpDiagTruth). The grouping
-    follows the analysis rule selected by use_misspecified_m; the outcome is
-    always generated under the true two-group effect."""
+    """One draw: returns (Dataset, {"correct": Grouping, "misspecified":
+    Grouping}, DgpDiagTruth). Both groupings label the same rows; the outcome
+    is always generated under the true two-group effect."""
     s = stream if stream is not None else Stream(cfg.seed).child("dgp-diag")
     n = cfg.n
     x = s.child("x").uniform(n)
     a = s.child("a").bernoulli(0.5, n).astype(np.float64)
     truth = DgpDiagTruth()
     y = truth.effect(x) * a + x**2 + truth.noise_sd * s.child("eps").normal(n)
-    rule = diag_wrong_groups if cfg.use_misspecified_m else diag_true_groups
-    labels = rule(x)
-    grouping = Grouping(labels, int(labels.max()), GroupSource.FIXED_RULE)
-    return Dataset(y, a, x[:, None]), grouping, truth
+    groupings = {}
+    for tag, rule in (("correct", diag_true_groups), ("misspecified", diag_wrong_groups)):
+        labels = rule(x)
+        groupings[tag] = Grouping(labels, int(labels.max()), GroupSource.FIXED_RULE)
+    return Dataset(y, a, x[:, None]), groupings, truth
 
 
 @dataclass(frozen=True)
@@ -197,12 +202,19 @@ def draw_blobs(cfg: BlobConfig, stream: Optional[Stream] = None):
 # Study plumbing
 
 
-def _map_reps(fn, args_list, workers: int):
+def _map_reps(fn, reps: int, workers: int) -> list:
+    """[fn(rep) for rep in range(reps)], across worker processes when
+    workers > 1; fn is a partial of a module-level function, so it pickles."""
     if workers <= 1:
-        return [fn(a) for a in args_list]
-    chunk = max(1, len(args_list) // (workers * 4))
+        return [fn(rep) for rep in range(reps)]
+    chunk = max(1, reps // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, args_list, chunksize=chunk))
+        return list(ex.map(fn, range(reps), chunksize=chunk))
+
+
+# Every replicate cross-fits on two unstratified folds, which single_run draws
+# from the replicate's own "plan" stream.
+_REP_PLAN = CrossFitPlan(n_folds=2)
 
 
 def learner_specs(name: str, truth=None):
@@ -237,16 +249,12 @@ class StudyResult:
     runtime: float = field(compare=False, default=0.0)
 
 
-def _calibration_rep(args):
-    seed, cell_index, learner, sigma_a, sigma_y, n, rep, alpha = args
+def _calibration_rep(seed, cell_index, learner, sigma_a, sigma_y, n, alpha, rep):
     stream = Stream(seed).child("calibration").child(cell_index).child(rep)
     cfg1 = Dgp1Config(n=n, sigma_a=sigma_a, sigma_y=sigma_y)
     d, grouping, truth = draw_dgp1(cfg1, stream=stream.child("data"))
-    reg, prop = learner_specs(learner, truth)
-    plan = CrossFitPlan(n_folds=2, seed=stream.child("plan").key)
-    cfg = SslsConfig(reg, prop, plan, alpha)
-    nf = crossfit_nuisance(d, cfg, grouping)
-    ge = estimate_ssls(d, grouping, nf)
+    cfg = SslsConfig(*learner_specs(learner, truth), _REP_PLAN)
+    ge, _ = single_run(d, grouping, cfg, seed=stream.child("plan").key)
     report = simultaneous_cis(ge, alpha=alpha)
     covers = bool(
         np.all((report.ci_simul_lo <= truth.tau) & (truth.tau <= report.ci_simul_hi))
@@ -268,11 +276,9 @@ def run_calibration_study(
     results = []
     for cell_index, (learner, sigma_a, sigma_y) in enumerate(cells):
         t0 = time.perf_counter()
-        args = [
-            (seed, cell_index, learner, sigma_a, sigma_y, n, rep, alpha)
-            for rep in range(reps)
-        ]
-        rows = _map_reps(_calibration_rep, args, workers)
+        rep_fn = partial(_calibration_rep, seed, cell_index, learner, sigma_a,
+                         sigma_y, n, alpha)
+        rows = _map_reps(rep_fn, reps, workers)
         tau_hats = np.stack([r[0] for r in rows])
         ases = np.stack([r[1] for r in rows])
         covers = np.asarray([r[2] for r in rows])
@@ -303,8 +309,7 @@ class PowerPoint:
     reps: int
 
 
-def _power_rep(args):
-    seed, point_index, distance, tau0, n, rep, alpha, learner = args
+def _power_rep(seed, point_index, distance, tau0, n, alpha, learner, rep):
     stream = Stream(seed).child("power").child(point_index).child(rep)
     tau0 = np.asarray(tau0, dtype=np.float64)
     if distance > 0:
@@ -315,11 +320,8 @@ def _power_rep(args):
         tau_alt = tau0
     cfg1 = Dgp1Config(n=n, sigma_a=0.0, sigma_y=0.0, tau=tuple(tau_alt))
     d, grouping, truth = draw_dgp1(cfg1, stream=stream.child("data"))
-    reg, prop = learner_specs(learner, truth)
-    plan = CrossFitPlan(n_folds=2, seed=stream.child("plan").key)
-    cfg = SslsConfig(reg, prop, plan, alpha)
-    nf = crossfit_nuisance(d, cfg, grouping)
-    ge = estimate_ssls(d, grouping, nf)
+    cfg = SslsConfig(*learner_specs(learner, truth), _REP_PLAN)
+    ge, _ = single_run(d, grouping, cfg, seed=stream.child("plan").key)
     t_stats = (ge.tau_hat - tau0) / ge.se()
     return bool(np.max(np.abs(t_stats)) > maxt_critical(alpha, len(tau0)))
 
@@ -338,11 +340,9 @@ def run_power_study(
     distance from tau0 (random sphere directions); distance 0 is the size."""
     points = []
     for point_index, distance in enumerate(distances):
-        args = [
-            (seed, point_index, float(distance), tuple(tau0), n, rep, alpha, learner)
-            for rep in range(reps)
-        ]
-        rejections = _map_reps(_power_rep, args, workers)
+        rep_fn = partial(_power_rep, seed, point_index, float(distance), tuple(tau0),
+                         n, alpha, learner)
+        rejections = _map_reps(rep_fn, reps, workers)
         points.append(
             PowerPoint(
                 distance=float(distance),
@@ -366,8 +366,7 @@ class RobustnessRow:
     reps: int
 
 
-def _robustness_rep(args):
-    seed, n, constant_propensity, delta_scale, rep = args
+def _robustness_rep(seed, n, constant_propensity, delta_scale, rep):
     stream = Stream(seed).child("robustness").child(int(constant_propensity)).child(rep)
     x = stream.child("x").normal(2 * n).reshape(n, 2)
     labels = (1 + (x[:, 1] >= 0.0)).astype(np.int64)
@@ -382,10 +381,8 @@ def _robustness_rep(args):
          + stream.child("eps").normal(n))
     d = Dataset(y, a, x)
     grouping = Grouping(labels, 2, GroupSource.FIXED_RULE)
-    plan = CrossFitPlan(n_folds=2, seed=stream.child("plan").key)
-    cfg = SslsConfig(OlsSpec(), KnownPropensity(e_true), plan)
-    nf = crossfit_nuisance(d, cfg, grouping)
-    ge = estimate_ssls(d, grouping, nf)
+    cfg = SslsConfig(OlsSpec(), KnownPropensity(e_true), _REP_PLAN)
+    ge, _ = single_run(d, grouping, cfg, seed=stream.child("plan").key)
     return ge.tau_hat - tau
 
 
@@ -403,8 +400,8 @@ def run_robustness_study(
     the group average; the non-constant arm is the negative control."""
     rows = []
     for n in n_grid:
-        args = [(seed, n, constant_propensity, delta_scale, rep) for rep in range(reps)]
-        errors = np.stack(_map_reps(_robustness_rep, args, workers))
+        rep_fn = partial(_robustness_rep, seed, n, constant_propensity, delta_scale)
+        errors = np.stack(_map_reps(rep_fn, reps, workers))
         rows.append(
             RobustnessRow(
                 n=n,
@@ -432,53 +429,45 @@ class DiagnosticRun:
 
 def run_diagnostic_once(
     n: int = 10000,
-    use_misspecified_m: bool = False,
     bandwidth: float = 0.05,
     grid_size: int = 200,
     seed: int = 0,
     learner: str = "gbm",
     sd_multiplier: float = 8.0,
-) -> DiagnosticRun:
-    """Estimate on the diagnostic design and smooth residuals per arm."""
-    cfg_d = DgpDiagConfig(n=n, use_misspecified_m=use_misspecified_m, seed=seed)
+) -> dict[str, DiagnosticRun]:
+    """Estimate on one draw of the diagnostic design under the correct and
+    the misspecified grouping, and smooth residuals per arm. The folds are
+    unstratified, so both groupings share one cross-fit of the nuisances."""
     stream = Stream(seed).child("diag-study")
-    d, grouping, truth = draw_dgp_diag(cfg_d, stream=stream.child("data"))
-    reg, prop = learner_specs(learner, truth)
-    plan = CrossFitPlan(n_folds=2, seed=stream.child("plan").key)
-    cfg = SslsConfig(reg, prop, plan)
-    nf = crossfit_nuisance(d, cfg, grouping)
-    ge = estimate_ssls(d, grouping, nf)
-    series = residual_series(ge, d, covariate_index=0, bandwidth=bandwidth,
-                             grid_size=grid_size)
-    flags = {arm: flag_regions(rs, sd_multiplier) for arm, rs in series.items()}
-    return DiagnosticRun(
-        residuals=ge.residuals,
-        series=series,
-        flags=flags,
-        grouping=grouping,
-        dataset=d,
-    )
+    d, groupings, truth = draw_dgp_diag(DgpDiagConfig(n=n, seed=seed),
+                                        stream=stream.child("data"))
+    cfg = SslsConfig(*learner_specs(learner, truth), _REP_PLAN)
+    ge, nf = single_run(d, groupings["correct"], cfg, seed=stream.child("plan").key)
+    effects = {"correct": ge,
+               "misspecified": estimate_ssls(d, groupings["misspecified"], nf)}
+    runs = {}
+    for tag, ge in effects.items():
+        series = residual_series(ge, d, covariate_index=0, bandwidth=bandwidth,
+                                 grid_size=grid_size)
+        flags = {arm: flag_regions(rs, sd_multiplier) for arm, rs in series.items()}
+        runs[tag] = DiagnosticRun(residuals=ge.residuals, series=series, flags=flags,
+                                  grouping=groupings[tag], dataset=d)
+    return runs
 
 
-def _diag_rep(args):
-    seed, rep, n, bandwidth, grid_size, learner, sd_multiplier = args
-    mis = run_diagnostic_once(
-        n=n, use_misspecified_m=True, bandwidth=bandwidth, grid_size=grid_size,
-        seed=Stream(seed).child("diag-reps").child(rep).key, learner=learner,
-        sd_multiplier=sd_multiplier,
-    )
-    good = run_diagnostic_once(
-        n=n, use_misspecified_m=False, bandwidth=bandwidth, grid_size=grid_size,
+def _diag_rep(seed, n, bandwidth, grid_size, learner, sd_multiplier, rep):
+    runs = run_diagnostic_once(
+        n=n, bandwidth=bandwidth, grid_size=grid_size,
         seed=Stream(seed).child("diag-reps").child(rep).key, learner=learner,
         sd_multiplier=sd_multiplier,
     )
     overlap = any(
         lo < 0.75 and hi > 0.25
-        for flags in mis.flags.values()
+        for flags in runs["misspecified"].flags.values()
         for lo, hi in flags
     )
     small = max(
-        flagged_fraction(rs, sd_multiplier) for rs in good.series.values()
+        flagged_fraction(rs, sd_multiplier) for rs in runs["correct"].series.values()
     ) < 0.05
     return overlap, small
 
@@ -502,11 +491,8 @@ def run_diagnostic_study(
 ) -> DiagnosticStudyResult:
     """Across reps: how often the wrong grouping is flagged in its
     misspecified band, and how often the right grouping stays clean."""
-    args = [
-        (seed, rep, n, bandwidth, grid_size, learner, sd_multiplier)
-        for rep in range(reps)
-    ]
-    rows = _map_reps(_diag_rep, args, workers)
+    rep_fn = partial(_diag_rep, seed, n, bandwidth, grid_size, learner, sd_multiplier)
+    rows = _map_reps(rep_fn, reps, workers)
     return DiagnosticStudyResult(
         misspecified_overlap_rate=float(np.mean([r[0] for r in rows])),
         correct_small_flag_rate=float(np.mean([r[1] for r in rows])),

@@ -279,6 +279,20 @@ def test_diagnose_outputs(toy_csv, tmp_path):
     assert "flagged_regions" in flags
 
 
+@pytest.mark.parametrize("command", ["estimate", "diagnose"])
+@pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.1", "nan"])
+def test_alpha_outside_unit_interval_exit_2(toy_csv, tmp_path, capsys, monkeypatch,
+                                            command, alpha):
+    fits = []
+    monkeypatch.setattr(estimator, "crossfit_nuisance", lambda *a, **kw: fits.append(1))
+    args = estimate_args(toy_csv, tmp_path / "out", ["--alpha", alpha])
+    args[0] = command
+    assert main(args) == 2
+    assert "error: alpha must lie in (0, 1)" in capsys.readouterr().err
+    assert not fits  # rejected before anything is fitted or written
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture
 def dgp1_csv(tmp_path):
     d, g, _ = draw_dgp1(Dgp1Config(n=300), stream=Stream(5).child("cli"))

@@ -285,6 +285,22 @@ def test_fit_kmeans_names_a_non_finite_covariate(bad):
     assert (err.value.row, err.value.col) == (17, 0)
 
 
+def test_assign_and_gate_name_a_nan_covariate():
+    # every distance of a NaN row is NaN, which the nearest-centroid rule
+    # would settle as label 1 without a word
+    x = blobs(100, [(-6.0, 0.0), (6.0, 0.0)], seed=14)
+    a = Stream(15).bernoulli(0.5, 200).astype(float)
+    fc = fit_kmeans(x, KMeansSpec(n_groups=2, seed=16))
+    x[150, 0] = np.nan  # a row of the second blob
+    with pytest.raises(NonFinite) as err:
+        fc.assign(x)
+    assert (err.value.row, err.value.col) == (150, 0)
+    d = Dataset(y=np.zeros(200), a=a, x=x)
+    with pytest.raises(NonFinite) as err:
+        gate_grouping(fc, d, KMeansSpec(n_groups=2, seed=16, min_group_size=25))
+    assert (err.value.row, err.value.col) == (150, 0)
+
+
 # Ties: squared distances between small integers are exact, so lattice rows
 # lie exactly as far from two or three of these centroids; the first and
 # last coincide, so the last owns no row until it is re-seeded.

@@ -5,12 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssls import diagnostics
-from ssls.data import Dataset, GroupEffects
+from ssls import diagnostics, estimator
+from ssls.cli import main
+from ssls.data import CrossFitPlan, Dataset, GroupEffects
 from ssls.diagnostics import _nw_smooth, flag_regions, flagged_fraction, residual_series
 from ssls.errors import EmptyArm
+from ssls.estimator import SslsConfig, single_run
+from ssls.learners import LogisticSpec, OlsSpec
 from ssls.rng import Stream
-from ssls.simulation import run_diagnostic_once
+from ssls.simulation import run_diagnostic_once, run_diagnostic_study
 
 
 def make_effects(residuals, n):
@@ -92,7 +95,7 @@ def test_empty_arm():
 def test_misspecified_grouping_off_centered():
     # the wrong grouping leaves treated/control residual trends of about
     # +/- a quarter of the effect step inside the straddled band
-    run = run_diagnostic_once(n=10000, use_misspecified_m=True, seed=3)
+    run = run_diagnostic_once(n=10000, seed=3)["misspecified"]
     for rs in run.series.values():
         grid = rs.grid
         inner = np.abs(rs.smooth[(grid > 0.30) & (grid < 0.70)]).max()
@@ -107,9 +110,35 @@ def test_misspecified_grouping_off_centered():
 
 
 def test_correct_grouping_clean():
-    run = run_diagnostic_once(n=10000, use_misspecified_m=False, seed=3)
+    run = run_diagnostic_once(n=10000, seed=3)["correct"]
     for rs in run.series.values():
         assert flagged_fraction(rs) < 0.05
+
+
+def test_each_diagnostic_draw_is_cross_fitted_once(monkeypatch, tmp_path):
+    calls = []
+    crossfit = estimator.crossfit_nuisance
+    monkeypatch.setattr(estimator, "crossfit_nuisance",
+                        lambda *a, **kw: calls.append(1) or crossfit(*a, **kw))
+    runs = run_diagnostic_once(n=2000, seed=5, learner="ols-logistic")
+    assert list(runs) == ["correct", "misspecified"]
+    assert len(calls) == 1
+    run_diagnostic_study(reps=2, n=2000, learner="ols-logistic")
+    assert len(calls) == 3
+    argv = ["simulate", "--study", "diagnostic", "--n", "2000", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(calls) == 4
+
+
+def test_shared_nuisances_equal_a_separate_fit_per_grouping():
+    # the folds are unstratified, so they do not depend on the grouping, and
+    # the misspecified run is what its own cross-fit would give
+    runs = run_diagnostic_once(n=2000, seed=5, learner="ols-logistic")
+    seed = Stream(5).child("diag-study").child("plan").key
+    cfg = SslsConfig(OlsSpec(), LogisticSpec(), CrossFitPlan(n_folds=2))
+    for run in runs.values():
+        ge, _ = single_run(run.dataset, run.grouping, cfg, seed=seed)
+        assert np.array_equal(ge.residuals, run.residuals)
 
 
 def test_flag_regions_are_maximal_intervals():
@@ -149,9 +178,7 @@ def _smoother_designs():
         yield d.x[:, 0], Stream(2).normal(n), d.a, h, 200
     x = np.linspace(0.0, 1.0, 21)
     yield x, Stream(3).normal(21), np.tile([0.0, 1.0], 11)[:21], 1e-6, 21
-    for mis in (False, True):
-        run = run_diagnostic_once(n=10000, use_misspecified_m=mis, seed=3,
-                                  learner="oracle")
+    for run in run_diagnostic_once(n=10000, seed=3, learner="oracle").values():
         yield run.dataset.x[:, 0], run.residuals, run.dataset.a, 0.05, 200
 
 

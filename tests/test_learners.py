@@ -183,7 +183,7 @@ def test_logistic_loglik_non_decreasing_and_mc_consistency():
     # large-sample MLE recovery of the treatment model coefficients
     d, _, truth = draw_dgp1(Dgp1Config(n=10000), stream=Stream(6).child("logit"))
     model = fit_propensity(LogisticSpec(), d.x, d.a)
-    fitted = np.concatenate([[model.intercept], model.coef])
+    fitted = np.concatenate([[model.inner.intercept], model.inner.coef])
     target = np.array([0.5, 0.5, 0.5, -0.5, -1.0, 1.0])
     assert np.abs(fitted - target).max() < 0.1
     assert model.converged
@@ -199,7 +199,7 @@ def test_logistic_stopping_rule_is_scale_aware():
             warnings.simplefilter("error", NonConvergenceWarning)
             model = fit_propensity(spec, x, a)
         assert model.converged
-        return np.concatenate([[model.intercept], model.coef])
+        return np.concatenate([[model.inner.intercept], model.inner.coef])
 
     designs = [draw_dgp1(Dgp1Config(n=10000), stream=Stream(seed).child("logit"))[0]
                for seed in range(10)]
@@ -230,7 +230,7 @@ def test_logistic_loglik_non_decreasing_in_iterations():
     d, _, _ = draw_dgp1(Dgp1Config(n=400), stream=Stream(8).child("ll"))
 
     def loglik(model):
-        eta = model.intercept + d.x @ model.coef
+        eta = model.inner.intercept + d.x @ model.inner.coef
         return float(d.a @ eta - np.logaddexp(0.0, eta).sum())
 
     values = []
@@ -256,6 +256,23 @@ def test_oracle_propensity_clipped():
                            np.zeros((2, 1)), np.array([0.0, 1.0]))
     p = model.predict(np.array([[0.001], [0.999]]))
     assert np.allclose(p, [0.01, 0.99])
+
+
+def test_every_propensity_fit_is_clipped_by_one_wrapper():
+    # the wrapper carries the inner model's convergence, which reports read
+    x = np.array([[-2.0]] * 8 + [[2.0]] * 8)
+    a = np.array([0.0] * 8 + [1.0] * 8)
+    specs = (LogisticSpec(max_iter=2), OracleProbSpec(lambda x: 0.5 + x[:, 0] / 4.0),
+             CartProbSpec(min_leaf=2), GbmProbSpec(n_trees=5, min_leaf=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonConvergenceWarning)
+        for spec in specs:
+            model = fit_propensity(spec, x, a)
+            assert isinstance(model, learners._ClippedModel)
+            assert model.converged == model.inner.converged
+            assert np.array_equal(model.predict(x),
+                                  np.clip(model.inner.predict(x), 0.01, 0.99))
+        assert not fit_propensity(LogisticSpec(max_iter=2), x, a).converged
 
 
 def test_gbm_shrinkage_validation():

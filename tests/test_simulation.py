@@ -102,13 +102,15 @@ def test_diag_outcome_mean():
 
 
 def test_diag_draw_uses_selected_rule():
-    d, g_correct, _ = draw_dgp_diag(DgpDiagConfig(n=500, use_misspecified_m=False),
-                                    stream=Stream(8).child("d"))
+    # one draw carries both analysis rules, applied to the same covariate
+    d, groupings, _ = draw_dgp_diag(DgpDiagConfig(n=500), stream=Stream(8).child("d"))
+    g_correct, g_wrong = groupings["correct"], groupings["misspecified"]
     assert g_correct.n_groups == 2
-    d2, g_wrong, _ = draw_dgp_diag(DgpDiagConfig(n=500, use_misspecified_m=True),
-                                   stream=Stream(8).child("d"))
     assert g_wrong.n_groups == 3
-    assert np.array_equal(d.y, d2.y)  # same stream, same data, different labels
+    d2, _, _ = draw_dgp_diag(DgpDiagConfig(n=500), stream=Stream(8).child("d"))
+    assert np.array_equal(d.y, d2.y)  # same stream, same data
+    assert np.array_equal(g_correct.labels, diag_true_groups(d.x[:, 0]))
+    assert np.array_equal(g_wrong.labels, diag_wrong_groups(d.x[:, 0]))
 
 
 def test_blob_draw_shapes():
