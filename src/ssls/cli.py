@@ -12,7 +12,6 @@ full float precision, CSV is formatted to 6 significant digits.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import KMeansSpec
-from .data import CrossFitPlan, load_csv
+from .data import CrossFitPlan, csv_rows, load_csv
 from .diagnostics import flag_regions, residual_series
 from .errors import (
     ClusteringDegenerate,
@@ -62,23 +61,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fmt_column(values) -> list[str]:
-    """_fmt of every value; a float, integer or bool array by its dtype."""
+def _quote(cell: str, alone: bool) -> str:
+    """cell as csv.writer writes it (QUOTE_MINIMAL): quoted when it holds a
+    comma, a double quote or a line break, or is empty and alone on its row."""
+    if (alone and not cell) or any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _column_format(values, alone: bool) -> tuple[str, list]:
+    """A column's %-format and the values it takes: %.6g for a float array,
+    %d for an integer or bool array, else the quoted _fmt strings by %s."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-        return ["%.6g" % v for v in values.tolist()]
+        return "%.6g", values.tolist()
     if isinstance(values, np.ndarray) and values.dtype.kind in "biu":
-        return [str(int(v)) for v in values.tolist()]
-    return [_fmt(v) for v in values]
+        return "%d", values.tolist()
+    return "%s", [_quote(_fmt(v), alone) for v in values]
 
 
 def write_csv(path: Path, columns: dict) -> None:
-    """Write equal-length columns headed by their names; no rows, an empty file."""
-    cells = [_fmt_column(values) for values in columns.values()]
+    """Write equal-length columns headed by their names, with csv.writer's
+    quoting and \\r\\n line ends, in one write; no rows, an empty file."""
+    alone = len(columns) == 1
+    formatted = [_column_format(v, alone) for v in columns.values()]
+    cells = [values for _, values in formatted]
     with open(path, "w", newline="") as fh:
         if cells and cells[0]:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            writer.writerows(zip(*cells, strict=True))
+            template = ",".join(fmt for fmt, _ in formatted) + "\r\n"
+            fh.write(",".join(_quote(str(name), alone) for name in columns) + "\r\n"
+                     + "".join([template % row for row in zip(*cells, strict=True)]))
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -197,13 +208,24 @@ def _residual_outputs(out_dir: Path, dataset, grouping, effects,
 
 
 def _load_contrast(path: str, n_groups: int) -> Contrast:
-    with open(path, newline="") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-    mat = np.asarray(rows, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[1] != n_groups + 1:
+    """The --contrast file: rows of K with a trailing m0 column. A cell that
+    does not parse or is not finite is named by its row and column."""
+    rows = [row for row in csv_rows(path) if row]
+    if not rows or any(len(row) != n_groups + 1 for row in rows):
         raise DomainError(
             f"contrast file must have {n_groups} K columns plus a trailing m0 column"
         )
+    mat = np.empty((len(rows), n_groups + 1))
+    for i, row in enumerate(rows):
+        for j, raw in enumerate(row):
+            try:
+                mat[i, j] = float(raw)
+            except ValueError:
+                raise SslsError(f"{path}: cannot parse '{raw.strip()}' at row "
+                                f"{i + 1}, column {j + 1}") from None
+    if not np.isfinite(mat).all():
+        i, j = np.argwhere(~np.isfinite(mat))[0]
+        raise SslsError(f"{path}: non-finite value at row {i + 1}, column {j + 1}")
     return Contrast(mat[:, :-1], mat[:, -1])
 
 
@@ -224,6 +246,8 @@ def _nuisance_quality(dataset, nf) -> dict:
 def cmd_estimate(args) -> int:
     dataset, grouping, mapping, covariates, known = _load(args, need_group=True)
     cfg = _build_config(args, known)
+    contrast = (_load_contrast(args.contrast, grouping.n_groups)
+                if args.contrast else None)
     effects, nf0 = repeated_ssls(dataset, grouping, cfg)
     report = simultaneous_cis(effects, alpha=args.alpha)
     out_dir = Path(args.out_dir)
@@ -254,8 +278,7 @@ def cmd_estimate(args) -> int:
         "inference": report.to_dict(),
         "nuisance_quality": _nuisance_quality(dataset, nf0),
     }
-    if args.contrast:
-        contrast = _load_contrast(args.contrast, effects.n_groups)
+    if contrast is not None:
         glh = glh_test(effects, contrast, alpha=args.alpha)
         payload["contrast_test"] = {
             "statistic": glh.statistic,

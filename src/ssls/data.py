@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -251,10 +253,11 @@ def make_crossfit_plan(
 def relabel_dense(values: Sequence) -> tuple[np.ndarray, dict]:
     """Map arbitrary categorical group values onto dense labels 1..G.
 
-    Values are ordered numerically when all parse as numbers, otherwise
-    lexicographically; returns (labels, original-value -> label mapping).
+    Values that parse as numbers come first, in numeric order, the rest
+    follow lexicographically, and ties (`1`, `1.0`) keep the order in which
+    they first appear; returns (labels, original-value -> label mapping).
     """
-    uniq = sorted(set(values), key=_sort_key)
+    uniq = sorted(dict.fromkeys(values), key=_sort_key)
     mapping = {v: i + 1 for i, v in enumerate(uniq)}
     labels = np.asarray([mapping[v] for v in values], dtype=np.int64)
     return labels, mapping
@@ -265,6 +268,64 @@ def _sort_key(v):
         return (0, float(v), "")
     except (TypeError, ValueError):
         return (1, 0.0, str(v))
+
+
+def csv_rows(path: str) -> Iterator[list[str]]:
+    """csv.reader rows of path; a tokenizer or decoding error is raised as an
+    SslsError naming the file and line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except csv.Error as err:
+            raise SslsError(f"{path}: line {reader.line_num}: {err}") from None
+        except UnicodeDecodeError:
+            raise _decode_error(path, fh.encoding) from None
+
+
+def _decode_error(path: str, encoding: str) -> SslsError:
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode(encoding)
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        return SslsError(f"{path}: line {line}: not valid {encoding} text "
+                         f"({err.reason})")
+    return SslsError(f"{path}: not valid {encoding} text")
+
+
+def _loadtxt(path: str, usecols: list[int], dtype) -> np.ndarray:
+    with open(path, newline="") as fh:
+        next(csv.reader(fh))  # the header
+        return np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                          usecols=usecols, dtype=dtype, ndmin=2)
+
+
+def _bulk_columns(path: str, usecols: list[int], group_col: Optional[int]):
+    """The numeric columns usecols and the stripped group values, parsed by
+    numpy's C reader; None when the csv-module path must read the file: a
+    cell numpy cannot parse or that is not finite, no data rows, or a group
+    cell that is empty or longer than the csv module's field limit.
+
+    Group cells are read as objects: a fixed-width str array would take n
+    times the longest value's width and drop a trailing NUL.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy warns when no row follows the header
+        try:
+            values = _loadtxt(path, usecols, np.float64)
+            raw = (None if group_col is None else
+                   _loadtxt(path, [group_col], object)[:, 0].tolist())
+        except ValueError:
+            return None
+    if values.shape[0] == 0 or not np.isfinite(values).all():
+        return None
+    groups = None
+    if raw is not None:
+        groups = [v.strip() for v in raw]
+        if "" in groups or max(map(len, raw)) > csv.field_size_limit():
+            return None
+    return values, groups
 
 
 def load_csv(
@@ -281,14 +342,16 @@ def load_csv(
     column. The group column may hold arbitrary categorical values; they are
     relabeled densely and the mapping is returned for the run report. The
     last value is the propensity column when one is bound, else None.
+
+    numpy's C reader parses the bound columns. When it fails or finds a bad
+    cell, the csv-module path reads the file again: it builds every error
+    message and parses what only float() accepts, such as `1_000`.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SslsError(f"{path}: empty file, header row required") from None
-        rows = [row for row in reader if row]
+    records = csv_rows(path)
+    header = next(records, None)
+    records.close()
+    if header is None:
+        raise SslsError(f"{path}: empty file, header row required")
 
     header = [h.strip() for h in header]
     col_index = {name: i for i, name in enumerate(header)}
@@ -300,6 +363,21 @@ def load_csv(
     for name in needed:
         if name not in col_index:
             raise SslsError(f"{path}: column '{name}' not found in header {header}")
+
+    floats = [outcome, treatment, *covariates]
+    if propensity is not None:
+        floats.append(propensity)
+    slot = {name: k for k, name in enumerate(floats)}
+    bulk = _bulk_columns(path, [col_index[name] for name in floats],
+                         None if group is None else col_index[group])
+    rows: list[list[str]] = []
+    if bulk is None:
+        records = csv_rows(path)
+        next(records)  # the header
+        rows = [row for row in records if row]
+        if not rows:
+            raise SslsError(f"{path}: no data rows")
+    n = len(rows)
 
     def cell(row_i: int, name: str) -> str:
         row = rows[row_i]
@@ -323,6 +401,8 @@ def load_csv(
         return v
 
     def column(name: str) -> np.ndarray:
+        if bulk is not None:
+            return np.ascontiguousarray(bulk[0][:, slot[name]])
         # One cast parses the column as float() would; a column that fails is
         # read again cell by cell, which raises naming its first bad row.
         j = col_index[name]
@@ -334,9 +414,6 @@ def load_csv(
             pass
         return np.array([numeric(i, name) for i in range(n)])
 
-    n = len(rows)
-    if n == 0:
-        raise SslsError(f"{path}: no data rows")
     y = column(outcome)
     a_raw = column(treatment)
     if not np.all((a_raw == 0.0) | (a_raw == 1.0)):
@@ -352,10 +429,13 @@ def load_csv(
     grouping = None
     mapping: dict = {}
     if group is not None:
-        j = col_index[group]
-        values = [row[j].strip() if j < len(row) else "" for row in rows]
-        if "" in values:
-            values = [cell(i, group) for i in range(n)]  # raises naming the row
+        if bulk is not None:
+            values = bulk[1]
+        else:
+            j = col_index[group]
+            values = [row[j].strip() if j < len(row) else "" for row in rows]
+            if "" in values:
+                values = [cell(i, group) for i in range(n)]  # raises naming the row
         labels, mapping = relabel_dense(values)
         grouping = Grouping(labels, int(labels.max()), GroupSource.FIXED_RULE)
     return dataset, grouping, mapping, prop

@@ -392,3 +392,78 @@ def test_write_csv_bytes_match_per_row_writer(tmp_path):
     empty = {"x": np.array([]), "y": []}
     write_csv(tmp_path / "empty.csv", empty)
     assert (tmp_path / "empty.csv").read_bytes() == b""
+
+
+def _csv_writer_write_csv(path, columns):
+    """The csv.writer-based write_csv the one-string writer replaced, kept as
+    its oracle."""
+    cells = [[_fmt(v) for v in values] for values in columns.values()]
+    with open(path, "w", newline="") as fh:
+        if cells and cells[0]:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(zip(*cells, strict=True))
+
+
+@pytest.mark.parametrize("columns", [
+    {"f": np.array([np.nan, np.inf, -np.inf, -0.0, 1e-300, 0.1, 123456789.0]),
+     "i": np.arange(-3, 4), "b": np.arange(7) % 2 == 0,
+     "s": np.array(["a,b", 'q"q', "l\nb", "cr\rx", "", "plain", " pad "])},
+    {"only": np.array([0.5, -0.0, np.nan])},
+    {"only": ["", "x", ""]},
+    {"": np.arange(2)},
+    {"a,b": np.arange(2), 'q"': np.array([True, False])},
+    {"f": np.array([]), "i": np.array([], dtype=np.int64)},
+    {"f": np.array([])},
+    {},
+], ids=["mixed", "one-float", "one-empty-str", "empty-name", "quoted-names",
+        "zero-rows", "one-column-zero-rows", "no-columns"])
+def test_write_csv_bytes_match_csv_writer(tmp_path, columns):
+    write_csv(tmp_path / "new.csv", columns)
+    _csv_writer_write_csv(tmp_path / "old.csv", columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _estimate_on(path, out_dir):
+    return ["estimate", "--data", str(path), "--outcome", "y", "--treatment", "a",
+            "--group", "grp", "--covariates", "x1", "--propensity", "0.5",
+            "--learner-y", "ols", "--out-dir", str(out_dir)]
+
+
+def test_csv_field_over_limit_exit_2(toy_csv, tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    lines = toy_csv.read_text().splitlines()
+    lines[3] = lines[3].replace("all", "x" * 200_000)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(_estimate_on(path, tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: line 4: field larger than field limit" in err
+
+
+@pytest.mark.parametrize("copies", [1, 2000])
+def test_csv_not_utf8_exit_2(toy_csv, tmp_path, capsys, copies):
+    # the long file puts the bad byte past the first block of decoded text
+    header, *rows = toy_csv.read_bytes().splitlines(keepends=True)
+    body = b"".join(rows * copies)
+    at = len(body) - 8
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(header + body[:at] + b"\xe9" + body[at:])
+    assert main(_estimate_on(path, tmp_path / "out")) == 2
+    line = (header + body[:at]).count(b"\n") + 1
+    err = capsys.readouterr().err.lower()  # the codec name's case varies
+    assert f"error: {path}: line {line}: not valid utf-8 text".lower() in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1,inf\n", "non-finite value at row 1, column 2"),
+    ("nan,0\n", "non-finite value at row 1, column 1"),
+    ("1,0\n\n1,x\n", "cannot parse 'x' at row 2, column 2"),
+    ("1,0\n1\n", "contrast file must have 1 K columns plus a trailing m0 column"),
+])
+def test_contrast_file_bad_cell_exit_2(toy_csv, tmp_path, capsys, text, message):
+    contrast = tmp_path / "contrast.csv"
+    contrast.write_text(text)
+    out = tmp_path / "out"
+    assert main(estimate_args(toy_csv, out, ["--contrast", str(contrast)])) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "report.json").exists()

@@ -2,11 +2,13 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ssls.data import (
+    _bulk_columns,
     CrossFitPlan,
     Dataset,
     Grouping,
@@ -284,15 +286,26 @@ _GOOD = [
 
 
 def _load_both(path):
+    # numpy's reader warns when no row follows the header, and its str mode
+    # on blank lines; no warning may escape load_csv
     kwargs = dict(outcome="y", treatment="a", covariates=["x1", "x2"],
                   group="grp", propensity="ps")
     results = []
-    for loader in (load_csv, _per_cell_load_csv):
-        try:
-            results.append(loader(str(path), **kwargs))
-        except SslsError as err:
-            results.append((type(err), str(err)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for loader in (load_csv, _per_cell_load_csv):
+            try:
+                results.append(loader(str(path), **kwargs))
+            except SslsError as err:
+                results.append((type(err), str(err)))
     return results
+
+
+def _bulk_read(path):
+    """Whether numpy's reader, not the csv-module path, parses the file."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _bulk_columns(str(path), [0, 1, 2, 3, 4], 5) is not None
 
 
 def _assert_same(new, old):
@@ -308,10 +321,10 @@ def _assert_same(new, old):
     assert g.n_groups == g0.n_groups
 
 
-def _write(path, rows):
+def _write(path, rows, end="\n"):
     # blank lines in the table are skipped by both readers
-    path.write_text("\n".join(",".join(r) if any(r) else "" for r in
-                              [_HEADER, *rows]) + "\n")
+    path.write_text(end.join(",".join(r) if any(r) else "" for r in
+                             [_HEADER, *rows]) + end, newline="")
 
 
 def test_load_csv_matches_per_cell_loader_on_valid_input(tmp_path):
@@ -340,3 +353,79 @@ def test_load_csv_matches_per_cell_loader_on_bad_cells(tmp_path, bad):
             _write(path, rows)
             new, old = _load_both(path)
             _assert_same(new, old)
+
+
+# Every cell numpy's reader parses as float() does, and group values whose
+# quoting and padding the two tokenizers must agree on.
+_BULK = [
+    ['"1.5"', "1", " 0.25 ", "1000", "0.5", '"a,b"'],
+    ["-2e-3", " 0 ", "\t7", "-0", "0.25", 'ab"c'],
+    ["", "", "", "", "", ""],
+    ["3", "1.0", "1e300", "4.9e-324", " .75", '"a"b'],
+    ["+4.", "0", "-1E5", "0.1", "0.5", '"he said ""hi"""'],
+    ["5", "1", "2", "3", "0.5", "\u00a0nbsp\u00a0"],
+    ["6", "0", "2", "3", "0.5", " 10 "],
+]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_load_csv_bulk_read_matches_per_cell_loader(tmp_path, end):
+    path = tmp_path / "good.csv"
+    _write(path, _BULK, end)
+    new, old = _load_both(path)
+    assert not isinstance(old[0], type), old
+    _assert_same(new, old)
+    assert list(old[2]) == ["10", "a,b", "ab", 'ab"c', 'he said "hi"', "nbsp"]
+    assert _bulk_read(path)
+
+
+@pytest.mark.parametrize("text", [
+    "y,a,x1,x2,ps,grp\n1,1,2,3,0.5,g\n   \n2,0,2,3,0.5,g\n",  # whitespace-only line
+    "y,a,x1,x2,ps,grp\n\n\n\n",  # a header and blank lines only
+    "y,a,x1,x2,ps,grp\r\n\r\n",
+    "y,a,x1,x2,ps,grp\n1,1,2,3,0.5,g\x00\n2,0,2,3,0.5,g\n",  # NUL-ended group
+    "y,a,x1,x2,ps,grp\n1,1,2,3,0.5,\"g\n h\"\n2,0,2,3,0.5,g\n",  # quoted line break
+    "y,a,x1,x2,ps,grp\n1,2,2,3,0.5,g\n2,0,nan,3,0.5,g\n",  # non-binary before nan
+])
+def test_load_csv_edge_files_match_per_cell_loader(tmp_path, text):
+    path = tmp_path / "edge.csv"
+    path.write_text(text, newline="")
+    new, old = _load_both(path)
+    _assert_same(new, old)
+
+
+def test_load_csv_bulk_read_round_trips_doubles_bitwise(tmp_path):
+    # 20 000 finite doubles, subnormals and signed zeros included, written
+    # with repr and with %.17g; numpy's parse must equal float()'s bit for bit
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2**63, size=20_000, dtype=np.uint64)
+    bits[::7] = rng.integers(0, 2**52, size=bits[::7].size, dtype=np.uint64)
+    bits[rng.random(bits.size) < 0.5] |= np.uint64(1 << 63)
+    values = bits.view(np.float64)
+    values[~np.isfinite(values)] = -0.0
+    cols = values.reshape(4, -1)
+    text = ["y,a,x1,x2,ps,grp"]
+    for i in range(cols.shape[1]):
+        fmt = repr if i % 2 else (lambda v: "%.17g" % v)
+        text.append(",".join([fmt(float(cols[0, i])), str(i % 2),
+                              *(fmt(float(cols[k, i])) for k in (1, 2, 3)), "g"]))
+    path = tmp_path / "doubles.csv"
+    path.write_text("\n".join(text) + "\n")
+    assert _bulk_read(path)
+    new, old = _load_both(path)
+    _assert_same(new, old)
+    d, _, _, ps = new
+    # the columns keep the csv path's contiguous layout, so later sums and
+    # products round the same way
+    assert all(v.flags.c_contiguous for v in (d.y, d.a, d.x, ps))
+    got = np.column_stack([d.y, d.x, ps]).T
+    assert np.array_equal(got.view(np.uint64), cols.view(np.uint64))
+
+
+def test_relabel_dense_orders_ties_by_first_appearance():
+    # "1", "1.0" and "01" share a sort key; a set would order them by string
+    # hashes, which change from one interpreter to the next
+    labels, mapping = relabel_dense(["b", "1.0", "a\x00", "1", "a", "01", "1"])
+    assert list(mapping.items()) == [("1.0", 1), ("1", 2), ("01", 3), ("a", 4),
+                                     ("a\x00", 5), ("b", 6)]
+    assert labels.tolist() == [6, 1, 5, 2, 4, 3, 2]
