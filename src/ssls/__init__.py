@@ -42,14 +42,11 @@ from .inference import (
     simultaneous_cis,
 )
 from .learners import (
-    CartProbSpec,
     CartSpec,
-    GbmProbSpec,
     GbmSpec,
     KnownPropensity,
     LogisticSpec,
     OlsSpec,
-    OracleProbSpec,
     OracleSpec,
     RidgeSpec,
     fit_propensity,
@@ -66,14 +63,12 @@ from .transformed_ls import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CartProbSpec",
     "CartSpec",
     "Contrast",
     "CrossFitPlan",
     "Dataset",
     "DsslsResult",
     "FittedClusterer",
-    "GbmProbSpec",
     "GbmSpec",
     "GlhResult",
     "GroupEffects",
@@ -86,7 +81,6 @@ __all__ = [
     "LsEstimate",
     "NuisanceFit",
     "OlsSpec",
-    "OracleProbSpec",
     "OracleSpec",
     "PairwiseResult",
     "ResidualSeries",

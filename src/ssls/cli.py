@@ -33,16 +33,7 @@ from .errors import (
 from .estimator import SslsConfig, estimate_dssls
 from .estimator import _repeated_runs as repeated_ssls
 from .inference import Contrast, glh_test, power_min_n, simultaneous_cis
-from .learners import (
-    CartProbSpec,
-    CartSpec,
-    GbmProbSpec,
-    GbmSpec,
-    KnownPropensity,
-    LogisticSpec,
-    OlsSpec,
-    RidgeSpec,
-)
+from .learners import KnownPropensity, learner_spec
 from .simulation import (
     run_diagnostic_once,
     run_power_study,
@@ -96,35 +87,6 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _regression_spec(name: str):
-    name = name.lower()
-    if name == "ols":
-        return OlsSpec()
-    if name.startswith("ridge"):
-        lam = float(name.split(":", 1)[1]) if ":" in name else 1e-3
-        return RidgeSpec(lam)
-    if name == "cart":
-        return CartSpec()
-    if name == "gbm":
-        return GbmSpec()
-    raise DomainError(f"unknown outcome learner '{name}' "
-                      "(expected ols, ridge[:lam], cart, gbm)")
-
-
-def _propensity_spec(name: str | None, known: KnownPropensity | None):
-    if known is not None:
-        return known
-    name = (name or "logistic").lower()
-    if name == "logistic":
-        return LogisticSpec()
-    if name == "cart":
-        return CartProbSpec()
-    if name == "gbm":
-        return GbmProbSpec()
-    raise DomainError(f"unknown propensity learner '{name}' "
-                      "(expected logistic, cart, gbm)")
-
-
 def _propensity_column(raw: str | None) -> str | None:
     """The CSV column --propensity names; None when it is absent or a number."""
     try:
@@ -162,7 +124,7 @@ def _load(args, need_group: bool):
 
 def _build_config(args, known: KnownPropensity | None) -> SslsConfig:
     if not 0.0 < args.alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+        raise DomainError("alpha must lie in (0, 1)")
     plan = CrossFitPlan(
         n_folds=args.folds,
         stratified=args.stratified,
@@ -170,8 +132,9 @@ def _build_config(args, known: KnownPropensity | None) -> SslsConfig:
         seed=args.seed,
     )
     return SslsConfig(
-        regression_spec=_regression_spec(args.learner_y),
-        propensity_spec=_propensity_spec(args.learner_e, known),
+        regression_spec=learner_spec(args.learner_y, "outcome"),
+        propensity_spec=(known if known is not None
+                         else learner_spec(args.learner_e or "logistic", "propensity")),
         plan=plan,
     )
 
@@ -493,32 +456,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Flags beat the JSON config file, which beats built-in defaults."""
-    if "--config" not in argv:
+def _apply_config_file(argv: list[str]) -> list[str]:
+    """Flags beat the JSON config file, which beats built-in defaults: the
+    file's values go in as flags just after the subcommand, so that every
+    explicit flag, in any spelling, comes later and overrides them."""
+    top = argparse.ArgumentParser(prog="ssls", add_help=False)
+    top.add_argument("--config")
+    top.add_argument("rest", nargs=argparse.REMAINDER)
+    parsed, other = top.parse_known_args(argv)
+    if parsed.config is None:
         return argv
-    i = argv.index("--config")
-    config_path = argv[i + 1]
-    with open(config_path) as fh:
+    with open(parsed.config) as fh:
         values = json.load(fh)
+    if not isinstance(values, dict):
+        raise DomainError(f"{parsed.config}: a config file must hold a JSON object, "
+                          f"not {type(values).__name__}")
     extra: list[str] = []
     for key, value in values.items():
-        flag = "--" + key.replace("_", "-")
-        if flag in argv:
-            continue
+        flag = key.replace("_", "-")
         if isinstance(value, bool):
-            extra.append(flag if value else f"--no-{key.replace('_', '-')}")
+            extra.append(f"--{flag}" if value else f"--no-{flag}")
         else:
-            extra.append(flag)
-            extra.append(str(value))
-    return argv + extra
+            extra += [f"--{flag}", str(value)]
+    return other + parsed.rest[:1] + extra + parsed.rest[1:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         return args.fn(args)
     except GATE_ERRORS as err:

@@ -13,7 +13,9 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    DomainError,
     EmptyGroup,
+    FoldsNotPartition,
     LengthMismatch,
     NonBinaryTreatment,
     NonFinite,
@@ -31,7 +33,7 @@ class GroupSource(enum.Enum):
 def _as_float_vector(v) -> np.ndarray:
     out = np.asarray(v, dtype=np.float64)
     if out.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {out.shape}")
+        raise DomainError(f"expected a 1-d vector, got shape {out.shape}")
     return out
 
 
@@ -70,7 +72,7 @@ class Grouping:
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
         if labels.ndim != 1:
-            raise ValueError("labels must be a 1-d integer vector")
+            raise DomainError("labels must be a 1-d integer vector")
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -150,14 +152,20 @@ class CrossFitPlan:
     def materialized(self) -> bool:
         return len(self.folds) > 0
 
-    @property
-    def n(self) -> int:
-        return int(sum(len(f) for f in self.folds))
-
-    def fold_of(self) -> np.ndarray:
-        out = np.empty(self.n, dtype=np.int64)
-        for k, idx in enumerate(self.folds):
-            out[idx] = k
+    def fold_of(self, n: int) -> np.ndarray:
+        """The fold of each of n rows; FoldsNotPartition unless the folds
+        partition rows 0..n-1."""
+        held = sum(len(f) for f in self.folds)
+        if held != n:
+            raise FoldsNotPartition(f"the folds hold {held} rows for {n} observations")
+        out = np.full(n, -1, dtype=np.int64)
+        try:
+            for k, idx in enumerate(self.folds):
+                out[idx] = k
+        except IndexError:
+            raise FoldsNotPartition(f"fold {k} holds a row outside 0..{n - 1}") from None
+        if n and out.min() < 0:  # n rows in the folds, so one is in two of them
+            raise FoldsNotPartition(f"row {int(out.argmin())} is in no fold")
         return out
 
 
@@ -179,7 +187,7 @@ def validate_dataset(d: Dataset, g: Grouping) -> None:
     if g.n_groups < 1:
         raise EmptyGroup(1)
     if g.labels.min() < 1 or g.labels.max() > g.n_groups:
-        raise ValueError(
+        raise DomainError(
             f"labels must lie in 1..{g.n_groups}, found range "
             f"[{g.labels.min()}, {g.labels.max()}]"
         )
@@ -220,11 +228,11 @@ def make_crossfit_plan(
         seed = plan.seed
     k = plan.n_folds
     if k < 2:
-        raise ValueError(f"n_folds must be >= 2, got {k}")
+        raise DomainError(f"n_folds must be >= 2, got {k}")
     if n < k:
         raise TooFewSamples(f"cannot split {n} observations into {k} folds")
     if plan.stratified and grouping is None:
-        raise ValueError("stratified splitting requires a grouping")
+        raise DomainError("stratified splitting requires a grouping")
     stream = Stream(seed).child("folds")
 
     folds: list[list[int]] = [[] for _ in range(k)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, GroupEffects
-from .errors import EmptyArm
+from .errors import DomainError, EmptyArm
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,11 @@ def residual_series(
     are directly comparable.
     """
     if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+        raise DomainError("bandwidth must be positive")
     if not 0 <= covariate_index < d.x.shape[1]:
-        raise ValueError(f"covariate index {covariate_index} out of range")
+        raise DomainError(f"covariate index {covariate_index} out of range")
     if ge.residuals.shape[0] != d.n:
-        raise ValueError("residuals and dataset lengths disagree")
+        raise DomainError("residuals and dataset lengths disagree")
     xcol = d.x[:, covariate_index]
     grid = np.linspace(xcol.min(), xcol.max(), grid_size)
     out = {}

@@ -41,6 +41,10 @@ class PropensityOutOfRange(SslsError):
         super().__init__(f"known propensity {value} outside (0, 1){where}")
 
 
+class FoldsNotPartition(SslsError):
+    """Cross-fitting folds that do not split the rows 0..n-1 into disjoint sets."""
+
+
 class TooFewSamples(SslsError):
     pass
 

@@ -25,11 +25,18 @@ from .data import (
     make_crossfit_plan,
     validate_dataset,
 )
-from .errors import DegenerateGroup, LengthMismatch, OneArmOnly, TooFewSamples
+from .errors import (
+    DegenerateGroup,
+    DomainError,
+    LengthMismatch,
+    OneArmOnly,
+    TooFewSamples,
+)
 from .inference import check_variances
 from .learners import (
+    CLIP,
     KnownPropensity,
-    OracleProbSpec,
+    OracleSpec,
     PropensityLearnerSpec,
     RegressionLearnerSpec,
     fit_propensity,
@@ -84,31 +91,32 @@ def crossfit_nuisance(
 ) -> NuisanceFit:
     """Train nuisances on each fold's complement, predict on the fold.
 
-    With a grouping, the dataset is validated before anything is fitted.
-    Known propensities bypass fitting entirely: the supplied scalar or
-    column is copied through (after clipping). Oracle propensities skip the
-    one-arm check but are still evaluated fold by fold.
+    The plan's folds, drawn here unless materialized, must partition the
+    rows, or FoldsNotPartition is raised. With a grouping, the dataset is
+    validated before anything is fitted. Known propensities bypass fitting
+    entirely: the supplied scalar or column is copied through (after
+    clipping). Oracle propensities skip the one-arm check but are still
+    evaluated fold by fold.
     """
     n = d.n
     plan = cfg.plan
-    if not plan.materialized or plan.n != n:
+    if not plan.materialized:
         plan = make_crossfit_plan(n, plan, grouping=grouping)
+    fold_of = plan.fold_of(n)
     if grouping is not None:
         validate_dataset(d, grouping)
     m_hat = np.empty(n)
     e_hat = np.empty(n)
     spec_e = cfg.propensity_spec
     if isinstance(spec_e, KnownPropensity):
-        e_hat[:] = np.clip(_known_column(spec_e, n), spec_e.clip, 1.0 - spec_e.clip)
+        e_hat[:] = np.clip(_known_column(spec_e, n), CLIP, 1.0 - CLIP)
     for k, test_idx in enumerate(plan.folds):
-        mask = np.ones(n, dtype=bool)
-        mask[test_idx] = False
-        train_idx = np.flatnonzero(mask)
+        train_idx = np.flatnonzero(fold_of != k)
         if train_idx.size == 0:
             raise TooFewSamples(f"fold {k} has an empty training complement")
         if not isinstance(spec_e, KnownPropensity):
             a_train = d.a[train_idx]
-            if not isinstance(spec_e, OracleProbSpec) and not (
+            if not isinstance(spec_e, OracleSpec) and not (
                 (a_train == 1.0).any() and (a_train == 0.0).any()
             ):
                 raise OneArmOnly(f"training complement of fold {k}")
@@ -116,7 +124,7 @@ def crossfit_nuisance(
             e_hat[test_idx] = model_e.predict(d.x[test_idx])
         model_m = fit_regression(cfg.regression_spec, d.x[train_idx], d.y[train_idx])
         m_hat[test_idx] = model_m.predict(d.x[test_idx])
-    return NuisanceFit(m_hat=m_hat, e_hat=e_hat, fold_of=plan.fold_of())
+    return NuisanceFit(m_hat=m_hat, e_hat=e_hat, fold_of=fold_of)
 
 
 def estimate_ssls(d: Dataset, g: Grouping, nf: NuisanceFit) -> GroupEffects:
@@ -180,7 +188,7 @@ def aggregate_effects(runs: list[GroupEffects]) -> GroupEffects:
     readers can judge split-to-split stability.
     """
     if not runs:
-        raise ValueError("no runs to aggregate")
+        raise DomainError("no runs to aggregate")
     if len(runs) == 1:
         return runs[0]
     tau = np.median(np.stack([r.tau_hat for r in runs]), axis=0)
@@ -204,7 +212,7 @@ def _repeated_runs(
     """repeated_ssls, also returning the first split's nuisance fit."""
     repeats = cfg.plan.repeats
     if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+        raise DomainError("repeats must be >= 1")
     root = Stream(cfg.plan.seed).child("repeat")
     first, first_fit = single_run(d, g, cfg, seed=root.child(0).key)
     runs = [first] + [

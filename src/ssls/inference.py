@@ -113,7 +113,7 @@ def simultaneous_cis(ge: GroupEffects, alpha: float = 0.05, tau0=None) -> Infere
     rate at alpha. ZeroVarianceGroup names a group with no standard error."""
     tau0 = np.zeros(ge.n_groups) if tau0 is None else np.asarray(tau0, dtype=np.float64)
     if tau0.shape != (ge.n_groups,):
-        raise ValueError(f"tau0 must have length {ge.n_groups}")
+        raise DomainError(f"tau0 must have length {ge.n_groups}")
     se = check_variances(ge).se()
     t_stat = (ge.tau_hat - tau0) / se
     p_value = np.array([2.0 * normal_cdf(-abs(t)) for t in t_stat])
@@ -165,10 +165,10 @@ def pairwise_test(
     comparisons, defaulting to all C(G, 2) pairs.
     """
     if g1 == g2:
-        raise ValueError("pairwise test needs two distinct groups")
+        raise DomainError("pairwise test needs two distinct groups")
     n_groups = ge.n_groups
     if not (1 <= g1 <= n_groups and 1 <= g2 <= n_groups):
-        raise ValueError(f"groups must lie in 1..{n_groups}")
+        raise DomainError(f"groups must lie in 1..{n_groups}")
     if n_pairs is None:
         n_pairs = n_groups * (n_groups - 1) // 2
     var = ge.sigma_gg_hat / ge.n_effective
@@ -211,11 +211,11 @@ class Contrast:
         K = np.atleast_2d(np.asarray(self.K, dtype=np.float64))
         m0 = np.atleast_1d(np.asarray(self.m0, dtype=np.float64))
         if K.shape[0] != m0.shape[0]:
-            raise ValueError("K and m0 must have the same number of rows")
+            raise DomainError("K and m0 must have the same number of rows")
         if K.shape[0] < 1:
-            raise ValueError("contrast needs at least one row")
+            raise DomainError("contrast needs at least one row")
         if np.any(np.all(K == 0.0, axis=1)):
-            raise ValueError("contrast rows must be non-zero")
+            raise DomainError("contrast rows must be non-zero")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "m0", m0)
 
@@ -248,7 +248,7 @@ def glh_test(ge: GroupEffects, contrast: Contrast, alpha: float = 0.05) -> GlhRe
     with rank counted as eigenvalues above 1e-10 of the largest.
     """
     if contrast.K.shape[1] != ge.n_groups:
-        raise ValueError(
+        raise DomainError(
             f"contrast has {contrast.K.shape[1]} columns for {ge.n_groups} groups"
         )
     sigma = np.diag(ge.sigma_gg_hat)

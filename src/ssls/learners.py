@@ -1,7 +1,8 @@
 """Nuisance-function learners behind a uniform fit/predict interface.
 
-Regression learners estimate E(Y|X); propensity learners estimate
-P(A=1|X) and clip predictions away from 0 and 1. Everything here is
+One spec per learner; the slot it fills decides its role. Fitted by
+fit_regression it estimates E(Y|X); fitted by fit_propensity it estimates
+P(A=1|X), with predictions clipped to [CLIP, 1 - CLIP]. Everything here is
 deterministic: tree splits break ties on (lowest feature index, smallest
 threshold), and the logistic solver is Newton with step-halving that stops
 on the Newton decrement (Boyd & Vandenberghe, Convex Optimization, 9.5).
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .transformed_ls import linear_solve_spd
 
-DEFAULT_CLIP = 0.01
+CLIP = 0.01  # propensities are clipped to [CLIP, 1 - CLIP]
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +53,7 @@ class RidgeSpec:
 
     def __post_init__(self):
         if self.lam < 0:
-            raise ValueError("ridge penalty must be >= 0")
+            raise DomainError("ridge penalty must be >= 0")
 
 
 def _check_tree_spec(spec) -> None:
@@ -108,29 +109,6 @@ class LogisticSpec:
 
     max_iter: int = 100
     tol: float = 1e-8
-    clip: float = DEFAULT_CLIP
-
-
-@dataclass(frozen=True)
-class CartProbSpec:
-    max_depth: int = 2
-    min_leaf: int = 10
-    clip: float = DEFAULT_CLIP
-
-    def __post_init__(self):
-        _check_tree_spec(self)
-
-
-@dataclass(frozen=True)
-class GbmProbSpec:
-    n_trees: int = 100
-    max_depth: int = 2
-    shrinkage: float = 0.1
-    min_leaf: int = 10
-    clip: float = DEFAULT_CLIP
-
-    def __post_init__(self):
-        _check_tree_spec(self)
 
 
 @dataclass(frozen=True)
@@ -143,13 +121,12 @@ class KnownPropensity:
     """
 
     values: Union[float, np.ndarray]
-    clip: float = DEFAULT_CLIP
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim > 1:
-            raise ValueError(f"known propensity must be a scalar or a column, "
-                             f"got shape {values.shape}")
+            raise DomainError(f"known propensity must be a scalar or a column, "
+                              f"got shape {values.shape}")
         bad = np.flatnonzero(~((values > 0.0) & (values < 1.0)))
         if bad.size:
             row = int(bad[0]) if values.ndim else None
@@ -157,16 +134,8 @@ class KnownPropensity:
         object.__setattr__(self, "values", values if values.ndim else float(values))
 
 
-@dataclass(frozen=True)
-class OracleProbSpec:
-    fn: Callable[[np.ndarray], np.ndarray]
-    clip: float = DEFAULT_CLIP
-
-
 RegressionLearnerSpec = Union[OlsSpec, RidgeSpec, CartSpec, GbmSpec, OracleSpec]
-PropensityLearnerSpec = Union[
-    LogisticSpec, CartProbSpec, GbmProbSpec, KnownPropensity, OracleProbSpec
-]
+PropensityLearnerSpec = Union[LogisticSpec, CartSpec, GbmSpec, OracleSpec, KnownPropensity]
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +222,14 @@ class _LogisticModel(FittedModel):
 
 
 class _ClippedModel(FittedModel):
-    """A fitted propensity model whose predictions lie in [clip, 1 - clip]."""
+    """A fitted propensity model whose predictions lie in [CLIP, 1 - CLIP]."""
 
-    def __init__(self, inner: FittedModel, clip: float):
+    def __init__(self, inner: FittedModel):
         self.inner = inner
-        self.clip = clip
         self.converged = inner.converged
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(self.inner.predict(x), self.clip, 1.0 - self.clip)
+        return np.clip(self.inner.predict(x), CLIP, 1.0 - CLIP)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +333,7 @@ def _grow_tree(y: np.ndarray, max_depth: int, min_leaf: int,
     return _TreeModel(feature, threshold, left, right, value), leaf_of
 
 
-def _fit_gbm(x: np.ndarray, y: np.ndarray, spec) -> _GbmModel:
+def _fit_gbm(x: np.ndarray, y: np.ndarray, spec: GbmSpec) -> _GbmModel:
     base = float(y.mean())
     fitted = np.full(y.shape[0], base)
     trees = []
@@ -460,7 +428,7 @@ def _check_matrix(x, target) -> tuple[np.ndarray, np.ndarray]:
         x = x[:, None]
     target = np.asarray(target, dtype=np.float64)
     if x.shape[0] != target.shape[0]:
-        raise ValueError(f"x has {x.shape[0]} rows but target has {target.shape[0]}")
+        raise DomainError(f"x has {x.shape[0]} rows but target has {target.shape[0]}")
     return x, target
 
 
@@ -488,24 +456,42 @@ def fit_regression(spec: RegressionLearnerSpec, x, y) -> FittedModel:
 
 def fit_propensity(spec: PropensityLearnerSpec, x, a) -> FittedModel:
     """Fit a treatment-probability learner; the fitted model is wrapped in
-    _ClippedModel, so its predictions are clipped to [spec.clip, 1 - spec.clip]
-    and its `inner` is the unclipped model."""
+    _ClippedModel, so its predictions are clipped to [CLIP, 1 - CLIP] and
+    its `inner` is the unclipped model."""
     if isinstance(spec, KnownPropensity):
-        raise ValueError("known propensities are resolved by cross-fitting, "
-                         "not fitted")
+        raise DomainError("known propensities are resolved by cross-fitting, "
+                          "not fitted")
     x, a = _check_matrix(x, a)
-    if isinstance(spec, OracleProbSpec):
+    if isinstance(spec, OracleSpec):
         model = _OracleModel(spec.fn)
     elif not ((a == 1.0).any() and (a == 0.0).any()):
         raise OneArmOnly("training sample")
     elif isinstance(spec, LogisticSpec):
         model = _fit_logistic(x, a, spec)
-    elif isinstance(spec, CartProbSpec):
+    elif isinstance(spec, CartSpec):
         model = _grow_tree(a, spec.max_depth, spec.min_leaf,
                            _presort(x, spec.min_leaf))[0]
-    elif isinstance(spec, GbmProbSpec):
-        model = _fit_gbm(x, a, GbmSpec(spec.n_trees, spec.max_depth,
-                                       spec.shrinkage, spec.min_leaf))
+    elif isinstance(spec, GbmSpec):
+        model = _fit_gbm(x, a, spec)
     else:
         raise TypeError(f"unknown propensity spec {spec!r}")
-    return _ClippedModel(model, spec.clip)
+    return _ClippedModel(model)
+
+
+def learner_spec(name: str, role: str, truth=None):
+    """The spec of the learner called name (case-insensitive) in role
+    "outcome" or "propensity". "ridge:lam" sets the ridge penalty; "oracle"
+    evaluates truth.outcome_mean or truth.propensity, given a truth only."""
+    name = name.lower()
+    if name == "oracle" and truth is not None:
+        return OracleSpec(truth.outcome_mean if role == "outcome" else truth.propensity)
+    if name in ("cart", "gbm"):
+        return CartSpec() if name == "cart" else GbmSpec()
+    if role == "outcome" and name == "ols":
+        return OlsSpec()
+    if role == "outcome" and name.startswith("ridge"):
+        return RidgeSpec(float(name.split(":", 1)[1]) if ":" in name else 1e-3)
+    if role == "propensity" and name == "logistic":
+        return LogisticSpec()
+    expected = "ols, ridge[:lam], cart, gbm" if role == "outcome" else "logistic, cart, gbm"
+    raise DomainError(f"unknown {role} learner '{name}' (expected {expected})")

@@ -20,19 +20,10 @@ import numpy as np
 
 from .data import CrossFitPlan, Dataset, Grouping, GroupSource
 from .diagnostics import flag_regions, flagged_fraction, residual_series
+from .errors import DomainError
 from .estimator import SslsConfig, estimate_ssls, single_run
 from .inference import maxt_critical, simultaneous_cis
-from .learners import (
-    CartProbSpec,
-    CartSpec,
-    GbmProbSpec,
-    GbmSpec,
-    KnownPropensity,
-    LogisticSpec,
-    OlsSpec,
-    OracleProbSpec,
-    OracleSpec,
-)
+from .learners import KnownPropensity, OlsSpec, learner_spec
 from .rng import Stream
 
 
@@ -57,7 +48,7 @@ class Dgp1Config:
 
     def __post_init__(self):
         if self.n < 8:
-            raise ValueError("n must be at least 8 to populate four groups")
+            raise DomainError("n must be at least 8 to populate four groups")
 
 
 @dataclass(frozen=True)
@@ -128,7 +119,7 @@ class DgpDiagConfig:
 
     def __post_init__(self):
         if self.n < 4:
-            raise ValueError("n must be at least 4")
+            raise DomainError("n must be at least 4")
 
 
 def diag_true_groups(x: np.ndarray) -> np.ndarray:
@@ -218,18 +209,15 @@ _REP_PLAN = CrossFitPlan(n_folds=2)
 
 
 def learner_specs(name: str, truth=None):
-    """Map a learner name to (regression spec, propensity spec)."""
-    if name == "oracle":
-        if truth is None:
-            raise ValueError("oracle learners need a truth record")
-        return OracleSpec(truth.outcome_mean), OracleProbSpec(truth.propensity)
-    if name == "gbm":
-        return GbmSpec(), GbmProbSpec()
-    if name == "cart":
-        return CartSpec(), CartProbSpec()
-    if name == "ols-logistic":
-        return OlsSpec(), LogisticSpec()
-    raise ValueError(f"unknown learner '{name}'")
+    """(outcome spec, propensity spec) of a study learner: oracle, gbm, cart,
+    or ols-logistic (ols outcome, logistic propensity)."""
+    if name not in ("oracle", "gbm", "cart", "ols-logistic"):
+        raise DomainError(f"unknown learner '{name}'")
+    if name == "oracle" and truth is None:
+        raise DomainError("oracle learners need a truth record")
+    outcome, _, propensity = name.partition("-")
+    return (learner_spec(outcome, "outcome", truth),
+            learner_spec(propensity or outcome, "propensity", truth))
 
 
 @dataclass(frozen=True)
@@ -272,7 +260,7 @@ def run_calibration_study(
 ) -> list[StudyResult]:
     """Monte-Carlo bias/ESE/ASE/coverage over (learner, sigma_a, sigma_y) cells."""
     if reps < 2:
-        raise ValueError("reps must be >= 2 (the ESE needs a spread)")
+        raise DomainError("reps must be >= 2 (the ESE needs a spread)")
     results = []
     for cell_index, (learner, sigma_a, sigma_y) in enumerate(cells):
         t0 = time.perf_counter()

@@ -268,6 +268,82 @@ def test_config_file_precedence(toy_csv, tmp_path, capsys):
     assert "minimum group size: 1" in capsys.readouterr().out
 
 
+def _config_run(toy_csv, tmp_path, values, before=(), after=()):
+    """Run estimate on the toy CSV with a JSON config file; return the exit
+    code and the report's plan, or None when the run failed."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    args = estimate_args(toy_csv, out)
+    for flag in ("--seed", "--learner-y"):  # left to the file
+        del args[args.index(flag):args.index(flag) + 2]
+    rc = main([*before, "estimate", *args[1:], *after])
+    plan = json.loads((out / "report.json").read_text())["plan"] if rc == 0 else None
+    return rc, plan
+
+
+@pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"],
+                                      ["--conf", "{}"]])
+def test_config_file_read_in_every_spelling(toy_csv, tmp_path, spelling):
+    # eight rows are too few for the default gbm outcome, so exit 0 shows
+    # that the file's ols was used, and the plan shows the file's seed
+    path = str(tmp_path / "config.json")
+    before = [part.format(path) for part in spelling]
+    rc, plan = _config_run(toy_csv, tmp_path, {"seed": 5, "learner_y": "ols"}, before)
+    assert rc == 0 and plan["seed"] == 5
+
+
+@pytest.mark.parametrize("flags, seed, stratified", [
+    (["--seed=7"], 7, True), (["--seed", "7"], 7, True), (["--see", "7"], 7, True),
+    (["--no-stratified"], 5, False),
+])
+def test_config_file_explicit_flags_win(toy_csv, tmp_path, flags, seed, stratified):
+    values = {"seed": 5, "learner-y": "ols", "stratified": True}
+    rc, plan = _config_run(toy_csv, tmp_path, values,
+                           ["--config", str(tmp_path / "config.json")], flags)
+    assert rc == 0
+    assert (plan["seed"], plan["stratified"]) == (seed, stratified)
+
+
+@pytest.mark.parametrize("argv", [["--config"], ["power", "--ztilde", "1", "--config"]])
+def test_config_flag_without_path_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "5", '"seed"', "null"])
+def test_config_file_not_an_object_exit_2(toy_csv, tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["--config", str(config), "power", "--ztilde", "1"]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", [{"nope": 1}, {"folds": "two"}])
+def test_config_file_unknown_key_or_bad_value_exit_2(toy_csv, tmp_path, values):
+    with pytest.raises(SystemExit) as err:
+        _config_run(toy_csv, tmp_path, dict(values, learner_y="ols"),
+                    ["--config", str(tmp_path / "config.json")])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flag, name, message", [
+    ("--learner-y", "Foo", "unknown outcome learner 'foo' "
+                           "(expected ols, ridge[:lam], cart, gbm)"),
+    ("--learner-y", "oracle", "unknown outcome learner 'oracle' "
+                              "(expected ols, ridge[:lam], cart, gbm)"),
+    ("--learner-e", "ols", "unknown propensity learner 'ols' "
+                           "(expected logistic, cart, gbm)"),
+])
+def test_unknown_learner_name_exit_2(toy_csv, tmp_path, capsys, flag, name, message):
+    args = estimate_args(toy_csv, tmp_path / "out")
+    del args[args.index("--propensity"):args.index("--propensity") + 2]
+    assert main([*args, flag, name]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_diagnose_outputs(toy_csv, tmp_path):
     out = tmp_path / "diag"
     args = estimate_args(toy_csv, out)

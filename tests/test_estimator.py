@@ -12,6 +12,7 @@ from ssls.data import CrossFitPlan, Dataset, GroupEffects, Grouping, make_crossf
 from ssls.errors import (
     ClusteringDegenerate,
     DegenerateGroup,
+    FoldsNotPartition,
     LengthMismatch,
     NonFinite,
     OneArmOnly,
@@ -30,12 +31,10 @@ from ssls.estimator import (
 )
 from ssls.learners import (
     CartSpec,
-    GbmProbSpec,
     GbmSpec,
     KnownPropensity,
     LogisticSpec,
     OlsSpec,
-    OracleProbSpec,
     OracleSpec,
 )
 from ssls.estimator import NuisanceFit
@@ -47,7 +46,7 @@ from ssls.transformed_ls import solve_transformed_ls
 def oracle_cfg(truth, seed=0, **plan_kw):
     plan = CrossFitPlan(seed=seed, **plan_kw)
     return SslsConfig(OracleSpec(truth.outcome_mean),
-                      OracleProbSpec(truth.propensity), plan)
+                      OracleSpec(truth.propensity), plan)
 
 
 def test_crossfit_known_propensity_passthrough():
@@ -127,6 +126,29 @@ def test_crossfit_one_arm_fold():
     cfg = SslsConfig(CartSpec(min_leaf=2), LogisticSpec(), CrossFitPlan(seed=1))
     with pytest.raises(OneArmOnly):
         crossfit_nuisance(d, cfg)
+
+
+@pytest.mark.parametrize("folds, message", [
+    ((np.arange(100), np.arange(100)), "row 100 is in no fold"),
+    ((np.arange(100), np.arange(99, 199)), "row 199 is in no fold"),
+    ((np.arange(100), np.arange(101, 201)), "fold 1 holds a row outside 0..199"),
+    ((np.arange(100), np.arange(100, 150)), "the folds hold 150 rows for 200"),
+])
+def test_crossfit_rejects_folds_that_do_not_partition(monkeypatch, folds, message):
+    # before, uncovered rows kept np.empty garbage and tau_hat came back
+    d, g, _ = draw_dgp1(Dgp1Config(n=200), stream=Stream(2).child("d"))
+    cfg = SslsConfig(OlsSpec(), KnownPropensity(0.5), CrossFitPlan(folds=folds))
+    _no_fitting(monkeypatch)
+    with pytest.raises(FoldsNotPartition, match=message):
+        crossfit_nuisance(d, cfg, g)
+
+
+def test_crossfit_rejects_a_plan_drawn_for_another_n():
+    # before, folds materialized for 100 rows were silently redrawn for 200
+    d, g, _ = draw_dgp1(Dgp1Config(n=200), stream=Stream(2).child("d"))
+    plan = make_crossfit_plan(100, CrossFitPlan(seed=1))
+    with pytest.raises(FoldsNotPartition, match="the folds hold 100 rows for 200"):
+        crossfit_nuisance(d, SslsConfig(OlsSpec(), KnownPropensity(0.5), plan), g)
 
 
 def test_estimate_hand_example():
@@ -451,7 +473,7 @@ def _tie_free_design(seed, n=400):
 
 
 @pytest.mark.parametrize("learner_y, learner_e", [(OlsSpec(), LogisticSpec()),
-                                                  (GbmSpec(), GbmProbSpec())])
+                                                  (GbmSpec(), GbmSpec())])
 def test_row_permutation_invariance(learner_y, learner_e):
     # Permuting the rows, and the folds to match, leaves every fold's
     # training set and test set as they were, so only the order of sums

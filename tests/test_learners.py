@@ -16,14 +16,11 @@ from ssls.errors import (
     TooFewSamples,
 )
 from ssls.learners import (
-    CartProbSpec,
     CartSpec,
-    GbmProbSpec,
     GbmSpec,
     KnownPropensity,
     LogisticSpec,
     OlsSpec,
-    OracleProbSpec,
     OracleSpec,
     RidgeSpec,
     fit_propensity,
@@ -161,6 +158,44 @@ def test_known_clips():
     assert np.allclose(_known_e_hat(0.999), 0.99)
 
 
+@pytest.mark.parametrize("spec", [CartSpec(min_leaf=2), GbmSpec(n_trees=5, min_leaf=2),
+                                  OracleSpec(lambda x: 0.25 + 0.5 * (x[:, 0] > 0))])
+def test_one_spec_serves_either_role(spec):
+    # a propensity fit is the regression fit of a on x, clipped
+    x = np.array([[-2.0], [-1.0], [-0.5], [0.5], [1.0], [2.0]] * 2)
+    a = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0] * 2)
+    e = fit_propensity(spec, x, a).predict(x)
+    m = fit_regression(spec, x, a).predict(x)
+    assert np.array_equal(e, np.clip(m, learners.CLIP, 1.0 - learners.CLIP))
+
+
+def test_spec_in_the_wrong_role_raises_type_error():
+    x, a = np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0.0, 1.0, 0.0, 1.0])
+    for spec in (OlsSpec(), RidgeSpec()):
+        with pytest.raises(TypeError, match="unknown propensity spec"):
+            fit_propensity(spec, x, a)
+    with pytest.raises(TypeError, match="unknown regression spec"):
+        fit_regression(LogisticSpec(), x, a)
+
+
+def test_learner_names_map_to_one_spec_per_learner():
+    truth = draw_dgp1(Dgp1Config(n=8), stream=Stream(1).child("t"))[2]
+    expected = {
+        ("ols", "outcome"): OlsSpec(), ("Ridge", "outcome"): RidgeSpec(),
+        ("ridge:0.5", "outcome"): RidgeSpec(0.5), ("logistic", "propensity"): LogisticSpec(),
+        ("oracle", "outcome"): OracleSpec(truth.outcome_mean),
+        ("oracle", "propensity"): OracleSpec(truth.propensity),
+    }
+    for role in ("outcome", "propensity"):
+        expected[("CART", role)], expected[("gbm", role)] = CartSpec(), GbmSpec()
+    for (name, role), spec in expected.items():
+        assert learners.learner_spec(name, role, truth) == spec
+    for name, role in [("logistic", "outcome"), ("ols", "propensity"),
+                       ("oracle", "outcome"), ("ridge", "propensity")]:
+        with pytest.raises(DomainError, match=f"unknown {role} learner '{name}'"):
+            learners.learner_spec(name, role)
+
+
 def test_known_propensity_is_not_fitted():
     with pytest.raises(ValueError, match="cross-fitting"):
         fit_propensity(KnownPropensity(0.9), np.zeros((3, 1)), np.array([1.0, 0, 1]))
@@ -245,14 +280,14 @@ def test_tree_propensity_clipped():
     s = Stream(7)
     x = s.normal(200).reshape(200, 1)
     a = (x[:, 0] > 1.5).astype(float)  # rare treatment: raw leaf means hit 0
-    for spec in (CartProbSpec(), GbmProbSpec(n_trees=30)):
+    for spec in (CartSpec(), GbmSpec(n_trees=30)):
         model = fit_propensity(spec, x, a)
         p = model.predict(x)
         assert p.min() >= 0.01 and p.max() <= 0.99
 
 
 def test_oracle_propensity_clipped():
-    model = fit_propensity(OracleProbSpec(lambda x: x[:, 0]),
+    model = fit_propensity(OracleSpec(lambda x: x[:, 0]),
                            np.zeros((2, 1)), np.array([0.0, 1.0]))
     p = model.predict(np.array([[0.001], [0.999]]))
     assert np.allclose(p, [0.01, 0.99])
@@ -262,8 +297,8 @@ def test_every_propensity_fit_is_clipped_by_one_wrapper():
     # the wrapper carries the inner model's convergence, which reports read
     x = np.array([[-2.0]] * 8 + [[2.0]] * 8)
     a = np.array([0.0] * 8 + [1.0] * 8)
-    specs = (LogisticSpec(max_iter=2), OracleProbSpec(lambda x: 0.5 + x[:, 0] / 4.0),
-             CartProbSpec(min_leaf=2), GbmProbSpec(n_trees=5, min_leaf=2))
+    specs = (LogisticSpec(max_iter=2), OracleSpec(lambda x: 0.5 + x[:, 0] / 4.0),
+             CartSpec(min_leaf=2), GbmSpec(n_trees=5, min_leaf=2))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonConvergenceWarning)
         for spec in specs:
@@ -289,7 +324,7 @@ _BAD_TREE_SETTINGS = [("min_leaf", 0), ("min_leaf", -3), ("max_depth", -1),
 
 @pytest.mark.parametrize("spec_type, field, bad", [
     (spec_type, field, bad)
-    for spec_type in (CartSpec, GbmSpec, CartProbSpec, GbmProbSpec)
+    for spec_type in (CartSpec, GbmSpec)
     for field, bad in _BAD_TREE_SETTINGS if hasattr(spec_type(), field)
 ])
 def test_tree_spec_validated_at_construction(spec_type, field, bad):
