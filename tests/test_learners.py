@@ -1,5 +1,6 @@
 """Learners: exact fits, invariants, failure modes, Monte-Carlo checks."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -322,16 +323,28 @@ _BAD_TREE_SETTINGS = [("min_leaf", 0), ("min_leaf", -3), ("max_depth", -1),
                       ("shrinkage", np.nan)]
 
 
-@pytest.mark.parametrize("spec_type, field, bad", [
-    (spec_type, field, bad)
-    for spec_type in (CartSpec, GbmSpec)
-    for field, bad in _BAD_TREE_SETTINGS if hasattr(spec_type(), field)
+# One spec class serves both roles; the propensity-role cases keep the ids
+# they had when that role had spec classes of its own (CartProbSpec and
+# GbmProbSpec), and build from the spec the propensity slot is handed.
+_TREE_SPEC_ROLES = [("CartSpec", "cart", "outcome"),
+                    ("CartProbSpec", "cart", "propensity"),
+                    ("GbmSpec", "gbm", "outcome"),
+                    ("GbmProbSpec", "gbm", "propensity")]
+
+
+@pytest.mark.parametrize("name, role, field, bad", [
+    pytest.param(name, role, field, bad, id=f"{case}-{field}-{bad}")
+    for case, name, role in _TREE_SPEC_ROLES
+    for field, bad in _BAD_TREE_SETTINGS
+    if hasattr(learners.learner_spec(name, role), field)
 ])
-def test_tree_spec_validated_at_construction(spec_type, field, bad):
+def test_tree_spec_validated_at_construction(name, role, field, bad):
+    spec = learners.learner_spec(name, role)
     # DomainError is a ValueError too, so older callers still catch it
     with pytest.raises(DomainError, match=field):
-        spec_type(**{field: bad})
-    assert getattr(spec_type(**{field: 1}), field) == 1  # the boundary holds
+        dataclasses.replace(spec, **{field: bad})
+    # the boundary holds
+    assert getattr(dataclasses.replace(spec, **{field: 1}), field) == 1
 
 
 # ---------------------------------------------------------------------------
