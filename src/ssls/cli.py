@@ -20,7 +20,7 @@ import numpy as np
 
 from .clustering import KMeansSpec
 from .data import CrossFitPlan, csv_rows, load_csv
-from .diagnostics import flag_regions, residual_series
+from .diagnostics import covariate_column, flag_regions, residual_series
 from .errors import (
     ClusteringDegenerate,
     DomainError,
@@ -158,7 +158,7 @@ def _residual_outputs(out_dir: Path, dataset, grouping, effects,
                       args) -> tuple[float, dict]:
     """Write the raw and smoothed residual CSVs; return the bandwidth used
     and the smoothed series."""
-    xcol = dataset.x[:, args.diag_covariate]
+    xcol = covariate_column(dataset, args.diag_covariate)
     span = float(xcol.max() - xcol.min())
     bandwidth = args.bandwidth if args.bandwidth is not None else max(0.05 * span, 1e-12)
     series = residual_series(

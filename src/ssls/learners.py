@@ -236,17 +236,19 @@ class _ClippedModel(FittedModel):
 # Tree machinery
 
 
-_Presort = namedtuple("_Presort", "xt ids valid counts")
+_Presort = namedtuple("_Presort", "xt ids valid counts work")
 
 
 def _presort(x: np.ndarray, min_leaf: int) -> _Presort:
     """What the split search needs of x alone, computed once per fit: x by
-    feature, each feature's stable row order, the root's `_valid_cuts` and
-    the counts 1..n as floats."""
+    feature, each feature's stable row order, the root's `_valid_cuts`, the
+    counts 1..n as floats, and five feature-by-row scratch rows for the
+    split search's temporaries. Reusing those rows at every node keeps a fit
+    from allocating, and the OS from paging in, fresh arrays per node."""
     xt = np.ascontiguousarray(x.T)
     ids = np.argsort(xt, axis=1, kind="stable")
     return _Presort(xt, ids, _valid_cuts(xt, ids, min_leaf),
-                    np.arange(1.0, xt.shape[1] + 1.0))
+                    np.arange(1.0, xt.shape[1] + 1.0), np.empty((5, xt.size)))
 
 
 def _valid_cuts(xt: np.ndarray, ids: np.ndarray, min_leaf: int) -> np.ndarray:
@@ -267,8 +269,9 @@ def _best_split_sorted(pre: _Presort, ids: np.ndarray, valid: Optional[np.ndarra
     None to compute them. Returns (feature, threshold, gain) or None; exact
     ties resolve to the lowest feature index, then the smallest threshold.
     """
-    m = ids.shape[1]
-    sq = ys * ys
+    p, m = ids.shape
+    work = pre.work
+    sq = np.multiply(ys, ys, work[0, :p * m].reshape(p, m))
     total_sq = sq[0].sum()
     parent_sse = total_sq - total * total / m
     if parent_sse <= 1e-12 * max(total_sq, 1e-300):
@@ -276,14 +279,24 @@ def _best_split_sorted(pre: _Presort, ids: np.ndarray, valid: Optional[np.ndarra
     if valid is None:
         valid = _valid_cuts(pre.xt, ids, min_leaf)
     lo, hi = min_leaf - 1, m - min_leaf  # cuts after sorted positions lo..hi-1
+    w = hi - lo
     left_n = pre.counts[lo:hi]
-    left_sum = ys.cumsum(axis=1)[:, lo:hi]
-    left_sq = sq.cumsum(axis=1)[:, lo:hi]
-    right_sum = total - left_sum
-    sse_left = left_sq - left_sum * left_sum / left_n
-    sse_right = (total_sq - left_sq) - right_sum * right_sum / left_n[::-1]
-    gains = np.where(valid, parent_sse - sse_left - sse_right, -np.inf)
-    j, i = divmod(int(np.argmax(gains)), hi - lo)
+    left_sum = np.add.accumulate(ys, 1, None, work[1, :p * m].reshape(p, m))[:, lo:hi]
+    left_sq = np.add.accumulate(sq, 1, None, work[2, :p * m].reshape(p, m))[:, lo:hi]
+    # gains = parent_sse - (left_sq - left_sum**2 / left_n)
+    #         - ((total_sq - left_sq) - right_sum**2 / right_n), in scratch rows
+    gains = np.multiply(left_sum, left_sum, work[3, :p * w].reshape(p, w))
+    np.divide(gains, left_n, gains)
+    np.subtract(left_sq, gains, gains)
+    right = np.subtract(total, left_sum, work[4, :p * w].reshape(p, w))
+    np.multiply(right, right, right)
+    np.divide(right, left_n[::-1], right)
+    sse_right = np.subtract(total_sq, left_sq, work[0, :p * w].reshape(p, w))
+    np.subtract(sse_right, right, sse_right)
+    np.subtract(parent_sse, gains, gains)
+    np.subtract(gains, sse_right, gains)
+    np.putmask(gains, ~valid, -np.inf)
+    j, i = divmod(int(np.argmax(gains)), w)
     gain = float(gains[j, i])
     if not gain > 0.0:
         return None

@@ -355,6 +355,28 @@ def test_diagnose_outputs(toy_csv, tmp_path):
     assert "flagged_regions" in flags
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("diagnose", "--bandwidth", "nan", "bandwidth must be finite and positive, got nan"),
+    ("diagnose", "--bandwidth", "inf", "bandwidth must be finite and positive, got inf"),
+    ("estimate", "--bandwidth", "0", "bandwidth must be finite and positive, got 0.0"),
+    ("diagnose", "--grid-size", "0", "grid size must be at least 1, got 0"),
+    ("estimate", "--grid-size", "-1", "grid size must be at least 1, got -1"),
+    ("diagnose", "--diag-covariate", "9", "covariate index 9 out of range"),
+    ("estimate", "--diag-covariate", "-1", "covariate index -1 out of range"),
+    ("diagnose", "--flag-multiplier", "-1",
+     "sd multiplier must be finite and non-negative, got -1.0"),
+    ("diagnose", "--flag-multiplier", "nan",
+     "sd multiplier must be finite and non-negative, got nan"),
+])
+def test_bad_diagnostic_setting_exit_2(toy_csv, tmp_path, capsys, command, flag, value,
+                                       message):
+    args = estimate_args(toy_csv, tmp_path / "out", [flag, value])
+    args[0] = command
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "flags.json").exists()
+
+
 @pytest.mark.parametrize("command", ["estimate", "diagnose"])
 @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.1", "nan"])
 def test_alpha_outside_unit_interval_exit_2(toy_csv, tmp_path, capsys, monkeypatch,

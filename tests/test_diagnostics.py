@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssls import diagnostics, estimator
+from ssls import estimator
 from ssls.cli import main
 from ssls.data import CrossFitPlan, Dataset, GroupEffects
-from ssls.diagnostics import _nw_smooth, flag_regions, flagged_fraction, residual_series
-from ssls.errors import EmptyArm
+from ssls.diagnostics import flag_regions, flagged_fraction, residual_series
+from ssls.errors import DomainError, EmptyArm
 from ssls.estimator import SslsConfig, single_run
 from ssls.learners import LogisticSpec, OlsSpec
 from ssls.rng import Stream
@@ -157,62 +157,125 @@ def test_flag_regions_are_maximal_intervals():
 
 
 def _dense_nw_smooth(x, resid, grid, h):
-    """The smoother before it was blocked over the grid, kept as its oracle:
-    one grid x n weight matrix."""
-    z = (grid[:, None] - x[None, :]) / h
-    w = np.exp(-0.5 * z * z)
-    total = w.sum(axis=1)
-    has_support = total > 0.0
+    """The exact smoother, kept as the binned one's oracle: one grid x n
+    weight matrix. A grid point has support where some weight does not
+    underflow; there the sums are taken relative to its largest weight."""
+    z2 = ((grid[:, None] - x[None, :]) / h) ** 2
+    w = np.exp(-0.5 * z2)
+    has_support = (w > 0.0).any(axis=1)
+    u = np.where(w > 0.0, np.exp(-0.5 * (z2 - z2.min(axis=1, keepdims=True))), 0.0)
+    total = u.sum(axis=1)
     smooth = np.full(grid.shape[0], np.nan)
-    smooth[has_support] = (w[has_support] @ resid) / total[has_support]
-    total_sq = (w * w).sum(axis=1)
+    smooth[has_support] = (u[has_support] @ resid) / total[has_support]
     effective_n = np.zeros(grid.shape[0])
-    effective_n[has_support] = total[has_support] ** 2 / total_sq[has_support]
+    effective_n[has_support] = total[has_support] ** 2 / (u[has_support] ** 2).sum(axis=1)
     return smooth, effective_n
 
 
 def _smoother_designs():
-    """(x, residuals, arm, bandwidth, grid size) of the designs tested above."""
+    """(x, residuals, arm, bandwidth) of the designs tested above."""
     for n, seed, h in [(50, 0, 0.1), (50, 0, 0.07), (50, 1, 0.05), (200, 4, 0.03)]:
         d = toy_dataset(n=n, seed=seed)
-        yield d.x[:, 0], Stream(2).normal(n), d.a, h, 200
+        yield d.x[:, 0], Stream(2).normal(n), d.a, h
     x = np.linspace(0.0, 1.0, 21)
-    yield x, Stream(3).normal(21), np.tile([0.0, 1.0], 11)[:21], 1e-6, 21
+    yield x, Stream(3).normal(21), np.tile([0.0, 1.0], 11)[:21], 1e-6
     for run in run_diagnostic_once(n=10000, seed=3, learner="oracle").values():
-        yield run.dataset.x[:, 0], run.residuals, run.dataset.a, 0.05, 200
+        yield run.dataset.x[:, 0], run.residuals, run.dataset.a, 0.05
 
 
-@pytest.mark.parametrize("block_bytes", [diagnostics._BLOCK_BYTES, 1])
-def test_blocked_smoother_bit_identical_to_dense(monkeypatch, block_bytes):
-    # A budget of 1 byte forces the smallest blocks, 8 grid points each.
-    monkeypatch.setattr(diagnostics, "_BLOCK_BYTES", block_bytes)
-    for x, resid, a, h, grid_size in _smoother_designs():
-        for arm in (0, 1):
-            xa, ra = x[a == arm], resid[a == arm]
-            grid = np.linspace(x.min(), x.max(), grid_size)
-            for got, want in zip(_nw_smooth(xa, ra, grid, h),
-                                 _dense_nw_smooth(xa, ra, grid, h)):
-                assert np.array_equal(got, want, equal_nan=True), (h, grid_size)
-            # Other grid sizes agree to rounding: the last bits of the dense
-            # product depend on how BLAS splits its rows between threads.
-            for size in (1, 2, 7, 9, 17, 201):
-                grid = np.linspace(x.min(), x.max(), size)
-                got, want = _nw_smooth(xa, ra, grid, h), _dense_nw_smooth(xa, ra, grid, h)
-                assert np.allclose(got[0], want[0], rtol=1e-12,
-                                   atol=1e-12 * np.abs(ra).max(), equal_nan=True)
-                assert np.allclose(got[1], want[1], rtol=1e-12, atol=0.0)
+def test_binned_smoother_matches_dense_oracle():
+    # Linear binning at 50 bins per bandwidth moves each weight by O(1/50^2)
+    # relative. The worst cases here are 1.5e-5 * max|r| in the smooth and
+    # 7.8e-5 relative in effective_n.
+    for x, resid, a, h in _smoother_designs():
+        d = Dataset(y=np.zeros(x.size), a=a, x=x[:, None])
+        ge = make_effects(resid, x.size)
+        for size in (1, 2, 7, 9, 17, 200, 201):
+            for rs in residual_series(ge, d, bandwidth=h, grid_size=size).values():
+                smooth, eff_n = _dense_nw_smooth(rs.x, rs.residuals, rs.grid, h)
+                support = np.isfinite(smooth)
+                assert np.array_equal(np.isfinite(rs.smooth), support), (h, size)
+                assert np.all(rs.effective_n[~support] == 0.0)
+                assert np.allclose(rs.smooth[support], smooth[support], rtol=0.0,
+                                   atol=1e-4 * np.abs(rs.residuals).max()), (h, size)
+                assert np.allclose(rs.effective_n[support], eff_n[support],
+                                   rtol=1e-3, atol=0.0), (h, size)
 
 
-def test_smoother_memory_not_grid_by_n():
-    # A dense 200 x n weight matrix per arm, and its square, would take
-    # about 320 MB at this size.
+def test_effective_n_finite_where_smooth_is_finite():
+    # At x = 0.6 the nearest residual is 29.5 bandwidths away: the weights,
+    # about 1e-189, square to zero, so an unscaled (sum w)^2 / sum w^2 is 0/0.
+    x = np.array([0.0, 0.01, 0.9])
+    d = Dataset(y=np.zeros(3), a=np.array([0.0, 0.0, 1.0]), x=x[:, None])
+    ge = make_effects([1.0, 3.0, 0.0], 3)
+    rs = residual_series(ge, d, bandwidth=0.02, grid_size=4)[0]
+    assert np.allclose(rs.grid, [0.0, 0.3, 0.6, 0.9])
+    smooth, eff_n = _dense_nw_smooth(x[:2], np.array([1.0, 3.0]), rs.grid, 0.02)
+    assert np.isfinite(rs.smooth[:3]).all() and np.isnan(rs.smooth[3])
+    assert np.allclose(rs.smooth[:3], smooth[:3], rtol=0.0, atol=1e-4)
+    assert rs.smooth[2] == pytest.approx(3.0, abs=1e-6)
+    assert np.isfinite(rs.effective_n).all()
+    assert np.allclose(rs.effective_n, eff_n, rtol=1e-3, atol=0.0)
+    assert rs.effective_n[2] == pytest.approx(1.0, abs=1e-6)
+    assert rs.effective_n[3] == 0.0
+    # With a zero multiplier every finite, nonzero smooth leaves its band; a
+    # NaN effective_n would make the band NaN and leave x = 0.6 unflagged.
+    assert flagged_fraction(rs, 0.0) == 0.75
+
+
+def _residual_series_peak_bytes(bandwidth):
     n = 100_000
     d = toy_dataset(n=n, seed=6)
     ge = make_effects(Stream(7).normal(n), n)
     tracemalloc.start()
     try:
-        residual_series(ge, d, bandwidth=0.05, grid_size=200)
-        peak = tracemalloc.get_traced_memory()[1]
+        residual_series(ge, d, bandwidth=bandwidth, grid_size=200)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64e6
+
+
+def test_smoother_memory_not_grid_by_n():
+    # A dense 200 x n weight matrix per arm, and its square, would take
+    # about 320 MB at this size.
+    assert _residual_series_peak_bytes(0.05) < 64e6
+
+
+def test_smoother_memory_bounded_at_tiny_bandwidth():
+    # 50 bins per bandwidth would be 5e7 bins here; the bin count is capped.
+    assert _residual_series_peak_bytes(1e-6) < 64e6
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"bandwidth": float("nan")}, {"bandwidth": float("inf")}, {"bandwidth": 0.0},
+    {"bandwidth": -1.0}, {"grid_size": 0}, {"grid_size": -3},
+    {"covariate_index": 1}, {"covariate_index": -1},
+])
+def test_residual_series_rejects_bad_settings(kwargs):
+    d = toy_dataset()
+    with pytest.raises(DomainError):
+        residual_series(make_effects(np.zeros(d.n), d.n), d, **kwargs)
+
+
+@pytest.mark.parametrize("sd_multiplier", [-1.0, float("nan"), float("inf")])
+def test_flags_reject_bad_sd_multiplier(sd_multiplier):
+    d = toy_dataset()
+    rs = residual_series(make_effects(np.zeros(d.n), d.n), d, bandwidth=0.1)[0]
+    with pytest.raises(DomainError):
+        flag_regions(rs, sd_multiplier)
+    with pytest.raises(DomainError):
+        flagged_fraction(rs, sd_multiplier)
+
+
+def test_grid_of_one_point_and_constant_covariate():
+    d = toy_dataset()
+    resid = Stream(8).normal(d.n)
+    rs = residual_series(make_effects(resid, d.n), d, bandwidth=0.1, grid_size=1)[0]
+    assert rs.grid.tolist() == [d.x.min()]
+    assert np.isfinite(rs.smooth).all()
+    # all covariate values equal: every grid point sees each arm's mean
+    flat = Dataset(y=np.zeros(d.n), a=d.a, x=np.full((d.n, 1), 2.5))
+    for arm, rs in residual_series(make_effects(resid, d.n), flat, bandwidth=0.1,
+                                   grid_size=5).items():
+        assert np.allclose(rs.smooth, resid[d.a == arm].mean(), rtol=0.0, atol=1e-12)
+        assert np.allclose(rs.effective_n, (d.a == arm).sum(), rtol=1e-12)
