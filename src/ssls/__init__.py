@@ -13,7 +13,6 @@ from .data import (
     Dataset,
     GroupEffects,
     Grouping,
-    GroupSource,
     load_csv,
     make_crossfit_plan,
     validate_dataset,
@@ -33,11 +32,8 @@ from .inference import (
     Contrast,
     GlhResult,
     InferenceReport,
-    PairwiseResult,
-    all_pairwise,
     glh_test,
     maxt_critical,
-    pairwise_test,
     power_min_n,
     simultaneous_cis,
 )
@@ -72,7 +68,6 @@ __all__ = [
     "GbmSpec",
     "GlhResult",
     "GroupEffects",
-    "GroupSource",
     "Grouping",
     "InferenceReport",
     "KMeansSpec",
@@ -82,13 +77,11 @@ __all__ = [
     "NuisanceFit",
     "OlsSpec",
     "OracleSpec",
-    "PairwiseResult",
     "ResidualSeries",
     "RidgeSpec",
     "SslsConfig",
     "Stream",
     "TransformedSample",
-    "all_pairwise",
     "chisq_cdf",
     "chisq_quantile",
     "crossfit_nuisance",
@@ -106,7 +99,6 @@ __all__ = [
     "maxt_critical",
     "normal_cdf",
     "normal_quantile",
-    "pairwise_test",
     "power_min_n",
     "repeated_ssls",
     "residual_series",

@@ -154,10 +154,9 @@ def _write_residuals(out_dir: Path, suffix: str, xcol, residuals, arm, labels,
     })
 
 
-def _residual_outputs(out_dir: Path, dataset, grouping, effects,
-                      args) -> tuple[float, dict]:
-    """Write the raw and smoothed residual CSVs; return the bandwidth used
-    and the smoothed series."""
+def _smoothed_residuals(dataset, effects, args) -> tuple[np.ndarray, float, dict]:
+    """The diagnostic covariate column, the bandwidth used and the smoothed
+    residual series of each arm; nothing is written."""
     xcol = covariate_column(dataset, args.diag_covariate)
     span = float(xcol.max() - xcol.min())
     bandwidth = args.bandwidth if args.bandwidth is not None else max(0.05 * span, 1e-12)
@@ -165,9 +164,7 @@ def _residual_outputs(out_dir: Path, dataset, grouping, effects,
         effects, dataset, covariate_index=args.diag_covariate,
         bandwidth=bandwidth, grid_size=args.grid_size,
     )
-    _write_residuals(out_dir, "", xcol, effects.residuals, dataset.a,
-                     grouping.labels, series)
-    return bandwidth, series
+    return xcol, bandwidth, series
 
 
 def _load_contrast(path: str, n_groups: int) -> Contrast:
@@ -192,32 +189,26 @@ def _load_contrast(path: str, n_groups: int) -> Contrast:
     return Contrast(mat[:, :-1], mat[:, -1])
 
 
-def _nuisance_quality(dataset, nf) -> dict:
+def _nuisance_quality(y, nf) -> dict:
     """Out-of-fold fit quality of the outcome model on the first split.
 
     There is no pass/fail rule here; a large value warns that the residual
     diagnostics ride on a poorly fitted conditional mean.
     """
     return {
-        "outcome_oof_mse": float(np.mean((dataset.y - nf.m_hat) ** 2)),
-        "outcome_variance": float(np.var(dataset.y)),
+        "outcome_oof_mse": float(np.mean((y - nf.m_hat) ** 2)),
+        "outcome_variance": float(np.var(y)),
         "note": "out-of-fold MSE of the fitted conditional mean on the first "
                 "split; no pass/fail rule is attached",
     }
 
 
-def cmd_estimate(args) -> int:
-    dataset, grouping, mapping, covariates, known = _load(args, need_group=True)
-    cfg = _build_config(args, known)
-    contrast = (_load_contrast(args.contrast, grouping.n_groups)
-                if args.contrast else None)
-    effects, nf0 = repeated_ssls(dataset, grouping, cfg)
-    report = simultaneous_cis(effects, alpha=args.alpha)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    payload = {
-        "command": "estimate",
+def _report(args, covariates, effects, inference, y, nf, **extra) -> dict:
+    """report.json of estimate and discover: the blocks both commands write,
+    then the command's own. y is the outcome of the rows estimated on, and
+    nf their first split's nuisance fit."""
+    return {
+        "command": args.command,
         "data": str(args.data),
         "columns": {
             "outcome": args.outcome,
@@ -226,7 +217,6 @@ def cmd_estimate(args) -> int:
             "covariates": covariates,
             "propensity": args.propensity,
         },
-        "group_relabeling": {str(k): v for k, v in mapping.items()},
         "plan": {
             "n_folds": args.folds,
             "stratified": args.stratified,
@@ -238,21 +228,38 @@ def cmd_estimate(args) -> int:
                     "another seed to gauge split-to-split stability",
         },
         "effects": effects.to_dict(),
-        "inference": report.to_dict(),
-        "nuisance_quality": _nuisance_quality(dataset, nf0),
+        "inference": inference.to_dict(),
+        "nuisance_quality": _nuisance_quality(y, nf),
+        **extra,
     }
+
+
+def cmd_estimate(args) -> int:
+    dataset, grouping, mapping, covariates, known = _load(args, need_group=True)
+    cfg = _build_config(args, known)
+    contrast = (_load_contrast(args.contrast, grouping.n_groups)
+                if args.contrast else None)
+    effects, nf0 = repeated_ssls(dataset, grouping, cfg)
+    report = simultaneous_cis(effects, alpha=args.alpha)
+    extra = {"group_relabeling": {str(k): v for k, v in mapping.items()}}
     if contrast is not None:
         glh = glh_test(effects, contrast, alpha=args.alpha)
-        payload["contrast_test"] = {
+        extra["contrast_test"] = {
             "statistic": glh.statistic,
             "rank": glh.rank,
             "p_value": glh.p_value,
             "critical_value": glh.critical_value,
             "reject": glh.reject,
         }
+    payload = _report(args, covariates, effects, report, dataset.y, nf0, **extra)
+    xcol, _, series = _smoothed_residuals(dataset, effects, args)
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "report.json", payload)
     write_csv(out_dir / "groups.csv", report.csv_columns())
-    _residual_outputs(out_dir, dataset, grouping, effects, args)
+    _write_residuals(out_dir, "", xcol, effects.residuals, dataset.a,
+                     grouping.labels, series)
     print(f"wrote {out_dir}/report.json with {effects.n_groups} groups", file=sys.stderr)
     return 0
 
@@ -266,28 +273,24 @@ def cmd_discover(args) -> int:
         min_group_size=args.min_group_size,
     )
     result = estimate_dssls(dataset, spec, cfg)
-    report = simultaneous_cis(result.effects, alpha=args.alpha)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    write_csv(out_dir / "groups.csv", {
-        "row": result.estimation_indices, "label": result.grouping.labels,
-    })
+    est_idx = result.estimation_indices
+    payload = _report(args, covariates, result.effects,
+                      simultaneous_cis(result.effects, alpha=args.alpha),
+                      dataset.y[est_idx], result.nuisance,
+                      n_total=dataset.n,
+                      n_clustering=int(len(result.clustering_indices)),
+                      n_estimation=int(len(est_idx)))
     clusterer = result.clusterer
     assert clusterer is not None
     raw = clusterer.centroids * clusterer.col_scale + clusterer.col_mean
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_csv(out_dir / "groups.csv", {"row": est_idx, "label": result.grouping.labels})
     write_csv(out_dir / "centroids.csv", {
         "label": np.arange(1, clusterer.n_groups + 1),
         **{name: raw[:, j] for j, name in enumerate(covariates)},
     })
-    payload = {
-        "command": "discover",
-        "n_total": dataset.n,
-        "n_clustering": int(len(result.clustering_indices)),
-        "n_estimation": int(len(result.estimation_indices)),
-        "effects": result.effects.to_dict(),
-        "inference": report.to_dict(),
-    }
     write_json(out_dir / "report.json", payload)
     print(f"wrote {out_dir}/report.json with {args.groups} discovered groups",
           file=sys.stderr)
@@ -348,20 +351,23 @@ def cmd_diagnose(args) -> int:
     dataset, grouping, _, _, known = _load(args, need_group=True)
     cfg = _build_config(args, known)
     effects, nf0 = repeated_ssls(dataset, grouping, cfg)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    bandwidth, series = _residual_outputs(out_dir, dataset, grouping, effects, args)
+    xcol, bandwidth, series = _smoothed_residuals(dataset, effects, args)
     flags = {
         str(arm): [[lo, hi] for lo, hi in flag_regions(rs, args.flag_multiplier)]
         for arm, rs in series.items()
     }
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_residuals(out_dir, "", xcol, effects.residuals, dataset.a,
+                     grouping.labels, series)
     write_json(out_dir / "flags.json", {
         "command": "diagnose",
         "covariate_index": args.diag_covariate,
         "bandwidth": bandwidth,
         "flag_multiplier": args.flag_multiplier,
         "flagged_regions": flags,
-        "nuisance_quality": _nuisance_quality(dataset, nf0),
+        "nuisance_quality": _nuisance_quality(dataset.y, nf0),
     })
     return 0
 

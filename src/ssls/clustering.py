@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, Grouping, GroupSource, check_covariates_finite
+from .data import Dataset, Grouping, check_covariates_finite
 from .errors import (ClusteringDegenerate, DomainError, GroupTooSmall, OneArmOnly,
                      TooFewSamples)
 from .inference import power_min_n
@@ -207,4 +207,4 @@ def gate_grouping(fc: FittedClusterer, d: Dataset, spec: KMeansSpec) -> Grouping
         arms = d.a[labels == g]
         if not ((arms == 1.0).any() and (arms == 0.0).any()):
             raise OneArmOnly(f"group {g}")
-    return Grouping(labels, fc.n_groups, GroupSource.FITTED)
+    return Grouping(labels, fc.n_groups)

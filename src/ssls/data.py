@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import enum
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -23,11 +22,6 @@ from .errors import (
     TooFewSamples,
 )
 from .rng import Stream
-
-
-class GroupSource(enum.Enum):
-    FIXED_RULE = "fixed_rule"
-    FITTED = "fitted"
 
 
 def _as_float_vector(v) -> np.ndarray:
@@ -63,11 +57,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Grouping:
-    """Per-observation group labels in 1..n_groups and their provenance."""
+    """Per-observation group labels in 1..n_groups."""
 
     labels: np.ndarray
     n_groups: int
-    source: GroupSource = GroupSource.FIXED_RULE
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
@@ -89,7 +82,7 @@ class Grouping:
         return out
 
     def subset(self, idx: np.ndarray) -> "Grouping":
-        return Grouping(self.labels[idx], self.n_groups, self.source)
+        return Grouping(self.labels[idx], self.n_groups)
 
 
 @dataclass(frozen=True)
@@ -445,5 +438,5 @@ def load_csv(
             if "" in values:
                 values = [cell(i, group) for i in range(n)]  # raises naming the row
         labels, mapping = relabel_dense(values)
-        grouping = Grouping(labels, int(labels.max()), GroupSource.FIXED_RULE)
+        grouping = Grouping(labels, int(labels.max()))
     return dataset, grouping, mapping, prop

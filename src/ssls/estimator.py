@@ -20,7 +20,6 @@ from .data import (
     Dataset,
     GroupEffects,
     Grouping,
-    GroupSource,
     check_covariates_finite,
     make_crossfit_plan,
     validate_dataset,
@@ -64,7 +63,11 @@ class NuisanceFit:
 
 @dataclass(frozen=True)
 class DsslsResult:
+    """Effects on the estimation rows, with the first split's nuisance fit
+    on those rows."""
+
     effects: GroupEffects
+    nuisance: NuisanceFit
     grouping: Grouping
     estimation_indices: np.ndarray
     clustering_indices: np.ndarray
@@ -207,17 +210,19 @@ def aggregate_effects(runs: list[GroupEffects]) -> GroupEffects:
 
 
 def _repeated_runs(
-    d: Dataset, g: Grouping, cfg: SslsConfig
+    d: Dataset, g: Grouping, cfg: SslsConfig, seeds: Optional[list[int]] = None
 ) -> tuple[GroupEffects, NuisanceFit]:
-    """repeated_ssls, also returning the first split's nuisance fit."""
+    """repeated_ssls, also returning the first split's nuisance fit. Split s
+    draws its folds from seeds[s]; by default that is the key of child s of
+    the plan seed's "repeat" stream."""
     repeats = cfg.plan.repeats
     if repeats < 1:
         raise DomainError("repeats must be >= 1")
-    root = Stream(cfg.plan.seed).child("repeat")
-    first, first_fit = single_run(d, g, cfg, seed=root.child(0).key)
-    runs = [first] + [
-        single_run(d, g, cfg, seed=root.child(s).key)[0] for s in range(1, repeats)
-    ]
+    if seeds is None:
+        root = Stream(cfg.plan.seed).child("repeat")
+        seeds = [root.child(s).key for s in range(repeats)]
+    first, first_fit = single_run(d, g, cfg, seed=seeds[0])
+    runs = [first] + [single_run(d, g, cfg, seed=seed)[0] for seed in seeds[1:]]
     return aggregate_effects(runs), first_fit
 
 
@@ -245,7 +250,12 @@ def estimate_dssls(
 
     The clustering third is drawn first by the seeded stream and never
     reused; effects and variances are computed on the remaining two thirds,
-    so confidence intervals scale with that (2N/3-sized) sample.
+    so confidence intervals scale with that (2N/3-sized) sample. The
+    estimation is repeated_ssls on those rows: the clustering third is drawn
+    once, and only the cross-fitting folds are redrawn for each of
+    cfg.plan.repeats splits. Split 0 draws its folds from the key of the
+    plan seed's "dssls-estimation" stream, split s >= 1 from that stream's
+    child s.
     """
     n = d.n
     if n < 3 * cfg.plan.n_folds:
@@ -264,16 +274,18 @@ def estimate_dssls(
     if callable(cluster_spec):
         labels_est = np.asarray(cluster_spec(d_est.x), dtype=np.int64)
         n_groups = int(labels_est.max())
-        grouping = Grouping(labels_est, n_groups, GroupSource.FIXED_RULE)
+        grouping = Grouping(labels_est, n_groups)
     else:
         clusterer = fit_kmeans(d.x[cluster_idx], cluster_spec)
         grouping = gate_grouping(clusterer, d_est, cluster_spec)
 
-    seed_est = Stream(cfg.plan.seed).child("dssls-estimation").key
-    effects, _ = single_run(d_est, grouping, replace(cfg, propensity_spec=spec_e),
-                            seed=seed_est)
+    root = Stream(cfg.plan.seed).child("dssls-estimation")
+    seeds = [root.key] + [root.child(s).key for s in range(1, cfg.plan.repeats)]
+    effects, nf = _repeated_runs(d_est, grouping, replace(cfg, propensity_spec=spec_e),
+                                 seeds)
     return DsslsResult(
         effects=effects,
+        nuisance=nf,
         grouping=grouping,
         estimation_indices=est_idx,
         clustering_indices=cluster_idx,

@@ -1,15 +1,15 @@
 """Hypothesis tests and confidence intervals on groupwise effect estimates.
 
 Pointwise t-tests, simultaneous intervals from the max of independent
-normals (Sidak/maxT), pairwise two-group contrasts, a chi-square general
-linear hypothesis test, and the standardized-effect sample-size rule.
+normals (Sidak/maxT), a chi-square general linear hypothesis test with
+per-row z-tests (a pairwise two-group contrast is its one-row case), and
+the standardized-effect sample-size rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -140,67 +140,6 @@ def simultaneous_cis(ge: GroupEffects, alpha: float = 0.05, tau0=None) -> Infere
 
 
 @dataclass(frozen=True)
-class PairwiseResult:
-    g1: int
-    g2: int
-    diff: float
-    se: float
-    z_stat: float
-    p_value: float
-    q_crit: float
-    reject_pointwise: bool
-    reject_simultaneous: bool
-
-
-def pairwise_test(
-    ge: GroupEffects,
-    g1: int,
-    g2: int,
-    alpha: float = 0.05,
-    n_pairs: Optional[int] = None,
-) -> PairwiseResult:
-    """Two-sample z-test of tau_g1 = tau_g2 with unequal variances.
-
-    The simultaneous flag uses the maxT critical value for n_pairs
-    comparisons, defaulting to all C(G, 2) pairs.
-    """
-    if g1 == g2:
-        raise DomainError("pairwise test needs two distinct groups")
-    n_groups = ge.n_groups
-    if not (1 <= g1 <= n_groups and 1 <= g2 <= n_groups):
-        raise DomainError(f"groups must lie in 1..{n_groups}")
-    if n_pairs is None:
-        n_pairs = n_groups * (n_groups - 1) // 2
-    var = ge.sigma_gg_hat / ge.n_effective
-    diff = float(ge.tau_hat[g1 - 1] - ge.tau_hat[g2 - 1])
-    se = math.sqrt(var[g1 - 1] + var[g2 - 1])
-    z_stat = diff / se
-    z = normal_quantile(1.0 - alpha / 2.0)
-    q = maxt_critical(alpha, n_pairs)
-    return PairwiseResult(
-        g1=g1,
-        g2=g2,
-        diff=diff,
-        se=se,
-        z_stat=z_stat,
-        p_value=2.0 * normal_cdf(-abs(z_stat)),
-        q_crit=q,
-        reject_pointwise=abs(z_stat) > z,
-        reject_simultaneous=abs(z_stat) > q,
-    )
-
-
-def all_pairwise(ge: GroupEffects, alpha: float = 0.05) -> list[PairwiseResult]:
-    n_groups = ge.n_groups
-    n_pairs = n_groups * (n_groups - 1) // 2
-    return [
-        pairwise_test(ge, g1, g2, alpha=alpha, n_pairs=n_pairs)
-        for g1 in range(1, n_groups + 1)
-        for g2 in range(g1 + 1, n_groups + 1)
-    ]
-
-
-@dataclass(frozen=True)
 class Contrast:
     """General linear hypothesis K tau = m0."""
 
@@ -233,19 +172,32 @@ class Contrast:
 
 @dataclass(frozen=True)
 class GlhResult:
+    """The joint chi-square test of K tau = m0 and, per row of K, its z
+    statistic, two-sided normal p-value and maxT flag |z| > q_crit."""
+
     statistic: float
     rank: int
     p_value: float
     critical_value: float
     reject: bool
+    z: np.ndarray
+    row_p_values: np.ndarray
+    q_crit: float
+    row_reject: np.ndarray
 
 
 def glh_test(ge: GroupEffects, contrast: Contrast, alpha: float = 0.05) -> GlhResult:
-    """Chi-square test of K tau = m0 on the standardized contrast scale.
+    """Chi-square test of K tau = m0 on the standardized contrast scale,
+    and a z-test of each row.
 
     The contrast covariance is diagonally standardized; a rank-deficient
     standardized covariance is inverted by eigendecomposition pseudo-inverse
-    with rank counted as eigenvalues above 1e-10 of the largest.
+    with rank counted as eigenvalues above 1e-10 of the largest. Row j's z
+    is its standardized K tau - m0, so a one-row contrast has statistic z^2,
+    the one-degree-of-freedom chi-square. The row flags use the maxT
+    critical value for as many rows as K has. maxT assumes independent
+    rows; for correlated rows, such as all pairwise differences, it is
+    conservative (Sidak, JASA 1967).
     """
     if contrast.K.shape[1] != ge.n_groups:
         raise DomainError(
@@ -274,12 +226,17 @@ def glh_test(ge: GroupEffects, contrast: Contrast, alpha: float = 0.05) -> GlhRe
     # by n, so the scaling is sqrt(n) * (K tau - m0) / sd-scale as displayed.
     p_value = 1.0 - chisq_cdf(stat, rank)
     critical = chisq_quantile(1.0 - alpha, rank)
+    q = maxt_critical(alpha, q_vec.shape[0])
     return GlhResult(
         statistic=stat,
         rank=rank,
         p_value=p_value,
         critical_value=critical,
         reject=stat > critical,
+        z=q_vec,
+        row_p_values=np.array([2.0 * normal_cdf(-abs(z)) for z in q_vec]),
+        q_crit=q,
+        row_reject=np.abs(q_vec) > q,
     )
 
 

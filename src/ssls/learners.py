@@ -52,6 +52,8 @@ class RidgeSpec:
     lam: float = 1e-3
 
     def __post_init__(self):
+        if not np.isfinite(self.lam):
+            raise DomainError(f"ridge penalty must be finite, got {self.lam}")
         if self.lam < 0:
             raise DomainError("ridge penalty must be >= 0")
 
@@ -445,16 +447,21 @@ def _check_matrix(x, target) -> tuple[np.ndarray, np.ndarray]:
     return x, target
 
 
+def _check_rows(spec, x: np.ndarray) -> None:
+    """TooFewSamples below 2 rows, or below 2 * min_leaf for a tree spec: a
+    tree that cannot split would predict one constant."""
+    if x.shape[0] < max(2 * getattr(spec, "min_leaf", 1), 2):
+        raise TooFewSamples(
+            f"{x.shape[0]} rows is too few to fit {type(spec).__name__}"
+        )
+
+
 def fit_regression(spec: RegressionLearnerSpec, x, y) -> FittedModel:
     """Fit a conditional-mean learner for E(Y|X)."""
     x, y = _check_matrix(x, y)
     if isinstance(spec, OracleSpec):
         return _OracleModel(spec.fn)
-    min_needed = 2 * getattr(spec, "min_leaf", 2)
-    if x.shape[0] < max(min_needed, 2):
-        raise TooFewSamples(
-            f"{x.shape[0]} rows is too few to fit {type(spec).__name__}"
-        )
+    _check_rows(spec, x)
     if isinstance(spec, OlsSpec):
         return _LinearModel(*_solve_linear(x, y, 0.0))
     if isinstance(spec, RidgeSpec):
@@ -476,10 +483,11 @@ def fit_propensity(spec: PropensityLearnerSpec, x, a) -> FittedModel:
                           "not fitted")
     x, a = _check_matrix(x, a)
     if isinstance(spec, OracleSpec):
-        model = _OracleModel(spec.fn)
-    elif not ((a == 1.0).any() and (a == 0.0).any()):
+        return _ClippedModel(_OracleModel(spec.fn))
+    if not ((a == 1.0).any() and (a == 0.0).any()):
         raise OneArmOnly("training sample")
-    elif isinstance(spec, LogisticSpec):
+    _check_rows(spec, x)
+    if isinstance(spec, LogisticSpec):
         model = _fit_logistic(x, a, spec)
     elif isinstance(spec, CartSpec):
         model = _grow_tree(a, spec.max_depth, spec.min_leaf,
@@ -502,8 +510,15 @@ def learner_spec(name: str, role: str, truth=None):
         return CartSpec() if name == "cart" else GbmSpec()
     if role == "outcome" and name == "ols":
         return OlsSpec()
-    if role == "outcome" and name.startswith("ridge"):
-        return RidgeSpec(float(name.split(":", 1)[1]) if ":" in name else 1e-3)
+    base, colon, lam = name.partition(":")
+    if role == "outcome" and base == "ridge":
+        if not colon:
+            return RidgeSpec()
+        try:
+            penalty = float(lam)
+        except ValueError:
+            raise DomainError(f"ridge penalty must be a number, got '{lam}'") from None
+        return RidgeSpec(penalty)
     if role == "propensity" and name == "logistic":
         return LogisticSpec()
     expected = "ols, ridge[:lam], cart, gbm" if role == "outcome" else "logistic, cart, gbm"

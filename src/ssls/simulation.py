@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import CrossFitPlan, Dataset, Grouping, GroupSource
+from .data import CrossFitPlan, Dataset, Grouping
 from .diagnostics import flag_regions, flagged_fraction, residual_series
 from .errors import DomainError
 from .estimator import SslsConfig, estimate_ssls, single_run
@@ -103,7 +103,7 @@ def draw_dgp1(cfg: Dgp1Config, stream: Optional[Stream] = None):
     a = s.child("a").bernoulli(p_treat).astype(np.float64)
     eps = s.child("eps").normal(n)
     y = truth.control_mean(x) + tau[labels - 1] * a + xi[labels - 1] + eps
-    grouping = Grouping(labels, len(tau), GroupSource.FIXED_RULE)
+    grouping = Grouping(labels, len(tau))
     return Dataset(y, a, x), grouping, truth
 
 
@@ -160,7 +160,7 @@ def draw_dgp_diag(cfg: DgpDiagConfig, stream: Optional[Stream] = None):
     groupings = {}
     for tag, rule in (("correct", diag_true_groups), ("misspecified", diag_wrong_groups)):
         labels = rule(x)
-        groupings[tag] = Grouping(labels, int(labels.max()), GroupSource.FIXED_RULE)
+        groupings[tag] = Grouping(labels, int(labels.max()))
     return Dataset(y, a, x[:, None]), groupings, truth
 
 
@@ -185,7 +185,7 @@ def draw_blobs(cfg: BlobConfig, stream: Optional[Stream] = None):
     tau = np.asarray(cfg.tau, dtype=np.float64)
     y = 0.5 * x[:, 0] + tau[blob] * a + s.child("eps").normal(n)
     labels = (blob + 1).astype(np.int64)
-    grouping = Grouping(labels, 2, GroupSource.FIXED_RULE)
+    grouping = Grouping(labels, 2)
     return Dataset(y, a, x), grouping, tau
 
 
@@ -368,7 +368,7 @@ def _robustness_rep(seed, n, constant_propensity, delta_scale, rep):
     y = (1.0 + x[:, 0] + x[:, 1] + a * (tau[labels - 1] + delta)
          + stream.child("eps").normal(n))
     d = Dataset(y, a, x)
-    grouping = Grouping(labels, 2, GroupSource.FIXED_RULE)
+    grouping = Grouping(labels, 2)
     cfg = SslsConfig(OlsSpec(), KnownPropensity(e_true), _REP_PLAN)
     ge, _ = single_run(d, grouping, cfg, seed=stream.child("plan").key)
     return ge.tau_hat - tau

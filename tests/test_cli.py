@@ -9,8 +9,9 @@ import pytest
 
 from ssls import estimator
 from ssls.cli import _build_config, _fmt, build_parser, main, write_csv
-from ssls.data import load_csv, make_crossfit_plan
-from ssls.estimator import _three_way_split
+from ssls.data import CrossFitPlan, Grouping, load_csv, make_crossfit_plan
+from ssls.estimator import SslsConfig, _three_way_split
+from ssls.learners import KnownPropensity, OlsSpec
 from ssls.rng import Stream
 from ssls.simulation import BlobConfig, Dgp1Config, draw_blobs, draw_dgp1
 
@@ -132,6 +133,7 @@ def discover_args(blob_csv, out_dir, extra=()):
         "--groups", "2",
         "--seed", "3",
         "--out-dir", str(out_dir),
+        *extra,
     ]
 
 
@@ -161,6 +163,43 @@ def test_discover_deterministic(blob_csv, tmp_path):
     assert main(discover_args(blob_csv, out1)) == 0
     assert main(discover_args(blob_csv, out2)) == 0
     assert (out1 / "groups.csv").read_bytes() == (out2 / "groups.csv").read_bytes()
+
+
+def test_discover_repeats_take_componentwise_medians(blob_csv, tmp_path):
+    # discover estimates as estimate does: the clustering third is drawn
+    # once, and the folds on the estimation two thirds once per repeat
+    out1, out3 = tmp_path / "r1", tmp_path / "r3"
+    assert main(discover_args(blob_csv, out1)) == 0
+    assert main(discover_args(blob_csv, out3, ["--repeats", "3"])) == 0
+    one = json.loads((out1 / "report.json").read_text())
+    three = json.loads((out3 / "report.json").read_text())
+    assert (out1 / "groups.csv").read_bytes() == (out3 / "groups.csv").read_bytes()
+    assert one["plan"]["aggregation"] == "single-run"
+    assert three["plan"]["repeats"] == 3
+    assert three["plan"]["aggregation"] == "componentwise-median"
+    assert {"data", "columns", "nuisance_quality", "n_total", "n_clustering",
+            "n_estimation"} <= three.keys()
+    assert "group_relabeling" not in three
+    tau3 = [g["tau_hat"] for g in three["effects"]["groups"]]
+    assert tau3 != [g["tau_hat"] for g in one["effects"]["groups"]]
+
+    d, _, _, _ = load_csv(str(blob_csv), outcome="y", treatment="a",
+                          covariates=["x1", "x2"])
+    with open(out1 / "groups.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    est_idx = np.array([int(r["row"]) for r in rows])
+    assert np.array_equal(est_idx, _three_way_split(d.n, 3)[1])
+    d_est = d.subset(est_idx)
+    grouping = Grouping([int(r["label"]) for r in rows], 2)
+    root = Stream(3).child("dssls-estimation")
+    taus = []
+    for seed in (root.key, root.child(1).key, root.child(2).key):
+        plan = make_crossfit_plan(d_est.n, CrossFitPlan(stratified=True),
+                                  grouping=grouping, seed=seed)
+        nf = estimator.crossfit_nuisance(
+            d_est, SslsConfig(OlsSpec(), KnownPropensity(0.5), plan), grouping)
+        taus.append(estimator.estimate_ssls(d_est, grouping, nf).tau_hat)
+    assert tau3 == np.median(taus, axis=0).tolist()
 
 
 @pytest.mark.parametrize("value", ["1.5", "nan"])
@@ -336,6 +375,11 @@ def test_config_file_unknown_key_or_bad_value_exit_2(toy_csv, tmp_path, values):
                               "(expected ols, ridge[:lam], cart, gbm)"),
     ("--learner-e", "ols", "unknown propensity learner 'ols' "
                            "(expected logistic, cart, gbm)"),
+    ("--learner-y", "ridgefoo", "unknown outcome learner 'ridgefoo' "
+                                "(expected ols, ridge[:lam], cart, gbm)"),
+    ("--learner-y", "ridge:abc", "ridge penalty must be a number, got 'abc'"),
+    ("--learner-y", "ridge:nan", "ridge penalty must be finite, got nan"),
+    ("--learner-y", "ridge:inf", "ridge penalty must be finite, got inf"),
 ])
 def test_unknown_learner_name_exit_2(toy_csv, tmp_path, capsys, flag, name, message):
     args = estimate_args(toy_csv, tmp_path / "out")
@@ -374,7 +418,8 @@ def test_bad_diagnostic_setting_exit_2(toy_csv, tmp_path, capsys, command, flag,
     args[0] = command
     assert main(args) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "out" / "flags.json").exists()
+    # every output is computed before the first is written
+    assert list((tmp_path / "out").glob("*")) == []
 
 
 @pytest.mark.parametrize("command", ["estimate", "diagnose"])

@@ -12,7 +12,6 @@ from ssls.data import (
     CrossFitPlan,
     Dataset,
     Grouping,
-    GroupSource,
     load_csv,
     make_crossfit_plan,
     relabel_dense,
@@ -203,11 +202,6 @@ def test_dataset_subset_and_se():
     assert sub.a.tolist() == [0.0, 0.0]
 
 
-def test_group_source_enum():
-    g = Grouping([1, 2], 2, GroupSource.FITTED)
-    assert g.source is GroupSource.FITTED
-
-
 def _per_cell_load_csv(path, outcome, treatment, covariates, group=None,
                        propensity=None):
     """The cell-by-cell loader load_csv replaced, kept as its oracle."""
@@ -271,7 +265,7 @@ def _per_cell_load_csv(path, outcome, treatment, covariates, group=None,
     mapping = {}
     if group is not None:
         labels, mapping = relabel_dense([cell(i, group) for i in range(n)])
-        grouping = Grouping(labels, int(labels.max()), GroupSource.FIXED_RULE)
+        grouping = Grouping(labels, int(labels.max()))
     return dataset, grouping, mapping, prop
 
 

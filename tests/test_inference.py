@@ -11,10 +11,8 @@ from ssls.dists import normal_cdf, normal_quantile
 from ssls.errors import DomainError, ZeroVarianceContrast, ZeroVarianceGroup
 from ssls.inference import (
     Contrast,
-    all_pairwise,
     glh_test,
     maxt_critical,
-    pairwise_test,
     power_min_n,
     simultaneous_cis,
 )
@@ -142,27 +140,39 @@ def test_simultaneous_cis_rejects_a_zero_or_non_finite_variance(sigma, group):
 
 
 def test_pairwise_examples():
+    # each pairwise test is a row of Contrast.pairwise_differences: z^2 is
+    # its one-degree-of-freedom chi-square statistic
     ge = effects([1.0, 1.0, 2.0], [1.0, 1.0, 1.0], 100)
-    same = pairwise_test(ge, 1, 2)
-    assert same.z_stat == 0.0
+    same = glh_test(ge, Contrast.pairwise_differences(3))
+    assert same.z[0] == 0.0  # groups 1 and 2
     # tau = (1, 2), both ses 0.5
     ge2 = effects([1.0, 2.0], [25.0, 25.0], 100)
-    res = pairwise_test(ge2, 1, 2)
-    assert res.z_stat == pytest.approx(-1.41421, abs=1e-5)
+    res = glh_test(ge2, Contrast.pairwise_differences(2))
+    assert res.z[0] == pytest.approx(-1.41421, abs=1e-5)
+    assert res.statistic == pytest.approx(res.z[0] ** 2, abs=1e-12)
+    assert res.row_p_values[0] == pytest.approx(2.0 * normal_cdf(-abs(res.z[0])))
     assert res.q_crit == pytest.approx(maxt_critical(0.05, 1), abs=1e-12)
+    assert not res.row_reject[0]
 
 
 def test_all_pairwise_family_size():
-    ge = effects([0.0] * 4, [1.0] * 4, 100)
-    results = all_pairwise(ge)
-    assert len(results) == 6
-    assert all(r.q_crit == pytest.approx(maxt_critical(0.05, 6)) for r in results)
+    # z = 10 * (tau_1 - tau_g) / sqrt(2): rows (1, 2) and (1, 3) lie just
+    # inside and just outside the maxT critical value for 6 rows
+    q = maxt_critical(0.05, 6)
+    step = math.sqrt(2.0) / 10.0
+    ge = effects([0.0, (q - 0.01) * step, -(q + 0.01) * step, 0.0], [1.0] * 4, 100)
+    res = glh_test(ge, Contrast.pairwise_differences(4))
+    assert res.z.shape == res.row_p_values.shape == res.row_reject.shape == (6,)
+    assert res.q_crit == pytest.approx(q)
+    assert res.z[:2] == pytest.approx([-(q - 0.01), q + 0.01])
+    assert res.row_reject[:2].tolist() == [False, True]
+    assert np.array_equal(res.row_reject, np.abs(res.z) > q)
 
 
 def test_pairwise_rejects_same_group():
-    ge = effects([0.0, 1.0], [1.0, 1.0], 10)
-    with pytest.raises(ValueError):
-        pairwise_test(ge, 2, 2)
+    # group 2 against itself, e_2 - e_2, is an all-zero contrast row
+    with pytest.raises(DomainError, match="contrast rows must be non-zero"):
+        Contrast(np.eye(2)[[1]] - np.eye(2)[[1]], [0.0])
 
 
 def test_glh_null_statistic_zero():

@@ -110,6 +110,12 @@ def test_cart_tie_breaks_lowest_feature():
 def test_cart_too_few():
     with pytest.raises(TooFewSamples):
         fit_regression(CartSpec(min_leaf=10), np.zeros((5, 1)), np.zeros(5))
+    # a propensity tree needs as many rows, rather than predicting a constant
+    x, a = np.arange(12.0)[:, None], np.array([0.0, 1.0] * 6)
+    for spec in (CartSpec(), GbmSpec()):
+        with pytest.raises(TooFewSamples, match="12 rows is too few"):
+            fit_propensity(spec, x, a)
+        fit_propensity(dataclasses.replace(spec, min_leaf=6), x, a)  # the boundary holds
 
 
 def test_gbm_training_mse_non_increasing():
@@ -192,9 +198,17 @@ def test_learner_names_map_to_one_spec_per_learner():
     for (name, role), spec in expected.items():
         assert learners.learner_spec(name, role, truth) == spec
     for name, role in [("logistic", "outcome"), ("ols", "propensity"),
-                       ("oracle", "outcome"), ("ridge", "propensity")]:
+                       ("oracle", "outcome"), ("ridge", "propensity"),
+                       ("ridgefoo", "outcome")]:
         with pytest.raises(DomainError, match=f"unknown {role} learner '{name}'"):
             learners.learner_spec(name, role)
+    for name, message in [("ridge:abc", "ridge penalty must be a number, got 'abc'"),
+                          ("ridge:nan", "ridge penalty must be finite, got nan"),
+                          ("ridge:inf", "ridge penalty must be finite, got inf"),
+                          ("ridge:-1", "ridge penalty must be >= 0")]:
+        with pytest.raises(DomainError) as err:
+            learners.learner_spec(name, "outcome")
+        assert str(err.value) == message
 
 
 def test_known_propensity_is_not_fitted():
