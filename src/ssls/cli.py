@@ -125,17 +125,11 @@ def _load(args, need_group: bool):
 def _build_config(args, known: KnownPropensity | None) -> SslsConfig:
     if not 0.0 < args.alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
-    plan = CrossFitPlan(
-        n_folds=args.folds,
-        stratified=args.stratified,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
     return SslsConfig(
         regression_spec=learner_spec(args.learner_y, "outcome"),
         propensity_spec=(known if known is not None
                          else learner_spec(args.learner_e or "logistic", "propensity")),
-        plan=plan,
+        plan=CrossFitPlan(args.n_folds, args.stratified, args.repeats, args.seed),
     )
 
 
@@ -218,7 +212,7 @@ def _report(args, covariates, effects, inference, y, nf, **extra) -> dict:
             "propensity": args.propensity,
         },
         "plan": {
-            "n_folds": args.folds,
+            "n_folds": args.n_folds,
             "stratified": args.stratified,
             "repeats": args.repeats,
             "seed": args.seed,
@@ -393,7 +387,7 @@ def _add_common_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learner-e", default=None,
                    help="propensity learner: logistic, cart, gbm "
                         "(ignored when --propensity is given)")
-    p.add_argument("--folds", type=int, default=2)
+    p.add_argument("--folds", type=int, default=2, dest="n_folds")
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--stratified", action=argparse.BooleanOptionalAction,
                    default=True,

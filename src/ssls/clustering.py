@@ -41,12 +41,12 @@ class KMeansSpec:
             if value is not None and value < low:
                 raise DomainError(f"{name} must be >= {low}, got {value}")
 
-    def resolved_min_size(self, alpha: float = 0.05, power: float = 0.8) -> int:
+    def resolved_min_size(self) -> int:
         """Minimum group size; defaults to the sample size needed to detect a
-        standardized effect z_tilde at the given level and power."""
+        standardized effect z_tilde at level 0.05 with power 0.8."""
         if self.min_group_size is not None:
             return self.min_group_size
-        return power_min_n(self.z_tilde, alpha=alpha, power=power)
+        return power_min_n(self.z_tilde)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -14,7 +14,6 @@ import numpy as np
 from .errors import (
     DomainError,
     EmptyGroup,
-    FoldsNotPartition,
     LengthMismatch,
     NonBinaryTreatment,
     NonFinite,
@@ -81,9 +80,6 @@ class Grouping:
         out[np.arange(self.n), self.labels - 1] = 1.0
         return out
 
-    def subset(self, idx: np.ndarray) -> "Grouping":
-        return Grouping(self.labels[idx], self.n_groups)
-
 
 @dataclass(frozen=True)
 class GroupEffects:
@@ -133,33 +129,19 @@ class GroupEffects:
 
 @dataclass(frozen=True)
 class CrossFitPlan:
-    """Cross-fitting configuration, optionally with materialized folds."""
+    """Cross-fitting configuration: how many folds, whether they are
+    stratified by group, how many splits are drawn, and the seed."""
 
     n_folds: int = 2
     stratified: bool = False
     repeats: int = 1
     seed: int = 0
-    folds: tuple = ()
 
-    @property
-    def materialized(self) -> bool:
-        return len(self.folds) > 0
-
-    def fold_of(self, n: int) -> np.ndarray:
-        """The fold of each of n rows; FoldsNotPartition unless the folds
-        partition rows 0..n-1."""
-        held = sum(len(f) for f in self.folds)
-        if held != n:
-            raise FoldsNotPartition(f"the folds hold {held} rows for {n} observations")
-        out = np.full(n, -1, dtype=np.int64)
-        try:
-            for k, idx in enumerate(self.folds):
-                out[idx] = k
-        except IndexError:
-            raise FoldsNotPartition(f"fold {k} holds a row outside 0..{n - 1}") from None
-        if n and out.min() < 0:  # n rows in the folds, so one is in two of them
-            raise FoldsNotPartition(f"row {int(out.argmin())} is in no fold")
-        return out
+    def __post_init__(self):
+        if self.n_folds < 2:
+            raise DomainError(f"n_folds must be >= 2, got {self.n_folds}")
+        if self.repeats < 1:
+            raise DomainError("repeats must be >= 1")
 
 
 def validate_dataset(d: Dataset, g: Grouping) -> None:
@@ -197,9 +179,11 @@ def check_covariates_finite(x: np.ndarray) -> None:
         raise NonFinite(int(row), int(col))
 
 
-def _chunk_sizes(m: int, k: int) -> list[int]:
+def _chunk_labels(m: int, k: int) -> np.ndarray:
+    """Labels 0..k-1 in k consecutive chunks of m, sizes differing by at most
+    one, the larger chunks first."""
     base, rem = divmod(m, k)
-    return [base + 1 if i < rem else base for i in range(k)]
+    return np.repeat(np.arange(k), [base + 1 if i < rem else base for i in range(k)])
 
 
 def make_crossfit_plan(
@@ -207,8 +191,8 @@ def make_crossfit_plan(
     plan: CrossFitPlan | None = None,
     grouping: Optional[Grouping] = None,
     seed: Optional[int] = None,
-) -> CrossFitPlan:
-    """Materialize fold assignments for n observations.
+) -> np.ndarray:
+    """The fold label in 0..n_folds-1 of each of n observations.
 
     Unstratified folds are a random partition with sizes differing by at
     most one. Stratified folds split every group's members that evenly,
@@ -220,35 +204,29 @@ def make_crossfit_plan(
     if seed is None:
         seed = plan.seed
     k = plan.n_folds
-    if k < 2:
-        raise DomainError(f"n_folds must be >= 2, got {k}")
     if n < k:
         raise TooFewSamples(f"cannot split {n} observations into {k} folds")
     if plan.stratified and grouping is None:
         raise DomainError("stratified splitting requires a grouping")
+    if plan.stratified and grouping.n != n:
+        raise LengthMismatch(f"the grouping has {grouping.n} labels for {n} observations")
     stream = Stream(seed).child("folds")
 
-    folds: list[list[int]] = [[] for _ in range(k)]
+    fold_of = np.full(n, -1, dtype=np.int64)
     if not plan.stratified:
-        perm = stream.permutation(n)
-        start = 0
-        for j, size in enumerate(_chunk_sizes(n, k)):
-            folds[j].extend(perm[start:start + size].tolist())
-            start += size
+        fold_of[stream.permutation(n)] = _chunk_labels(n, k)
     else:
-        assert grouping is not None
         for g in range(1, grouping.n_groups + 1):
             members = np.flatnonzero(grouping.labels == g)
             perm = members[stream.child(g).permutation(len(members))]
-            offset = (g - 1) % k
-            start = 0
-            for j, size in enumerate(_chunk_sizes(len(members), k)):
-                folds[(j + offset) % k].extend(perm[start:start + size].tolist())
-                start += size
-    if any(len(f) == 0 for f in folds):
+            fold_of[perm] = (_chunk_labels(len(members), k) + g - 1) % k
+    sizes = np.bincount(fold_of + 1, minlength=k + 1)
+    if sizes[0]:
+        raise DomainError(f"row {int(fold_of.argmin())} has a group label outside "
+                          f"1..{grouping.n_groups}")
+    if not sizes[1:].all():
         raise TooFewSamples(f"a fold came out empty splitting {n} observations")
-    materialized = tuple(np.sort(np.asarray(f, dtype=np.int64)) for f in folds)
-    return replace(plan, seed=seed, folds=materialized)
+    return fold_of
 
 
 def relabel_dense(values: Sequence) -> tuple[np.ndarray, dict]:

@@ -42,7 +42,7 @@ class PropensityOutOfRange(SslsError):
 
 
 class FoldsNotPartition(SslsError):
-    """Cross-fitting folds that do not split the rows 0..n-1 into disjoint sets."""
+    """Fold labels that are not one integer in 0..n_folds-1 for each row."""
 
 
 class TooFewSamples(SslsError):

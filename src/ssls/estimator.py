@@ -27,6 +27,7 @@ from .data import (
 from .errors import (
     DegenerateGroup,
     DomainError,
+    FoldsNotPartition,
     LengthMismatch,
     OneArmOnly,
     TooFewSamples,
@@ -87,25 +88,44 @@ def _known_column(spec: KnownPropensity, n: int) -> np.ndarray:
     return spec.values
 
 
+def _checked_fold_labels(fold_of, n: int, n_folds: int) -> np.ndarray:
+    """fold_of as given; FoldsNotPartition unless it is n integers in
+    0..n_folds-1."""
+    fold_of = np.asarray(fold_of)
+    if fold_of.ndim != 1 or fold_of.dtype.kind not in "iu":
+        raise FoldsNotPartition(f"fold labels must be a vector of integers, got "
+                                f"{fold_of.dtype} of shape {fold_of.shape}")
+    if fold_of.shape[0] != n:
+        raise FoldsNotPartition(f"the folds hold {fold_of.shape[0]} rows for {n} observations")
+    bad = (fold_of < 0) | (fold_of >= n_folds)
+    if bad.any():
+        row = int(bad.argmax())
+        raise FoldsNotPartition(f"fold label {fold_of[row]} of row {row} is outside "
+                                f"0..{n_folds - 1}")
+    return fold_of
+
+
 def crossfit_nuisance(
     d: Dataset,
     cfg: SslsConfig,
     grouping: Optional[Grouping] = None,
+    fold_of: Optional[np.ndarray] = None,
 ) -> NuisanceFit:
     """Train nuisances on each fold's complement, predict on the fold.
 
-    The plan's folds, drawn here unless materialized, must partition the
-    rows, or FoldsNotPartition is raised. With a grouping, the dataset is
-    validated before anything is fitted. Known propensities bypass fitting
-    entirely: the supplied scalar or column is copied through (after
-    clipping). Oracle propensities skip the one-arm check but are still
-    evaluated fold by fold.
+    fold_of holds each row's fold label; it is drawn from cfg.plan when not
+    given, and FoldsNotPartition is raised unless the labels given are n
+    integers in 0..n_folds-1. With a grouping, the dataset is validated
+    before anything is fitted. Known propensities bypass fitting entirely:
+    the supplied scalar or column is copied through (after clipping).
+    Oracle propensities skip the one-arm check but are still evaluated fold
+    by fold.
     """
     n = d.n
-    plan = cfg.plan
-    if not plan.materialized:
-        plan = make_crossfit_plan(n, plan, grouping=grouping)
-    fold_of = plan.fold_of(n)
+    if fold_of is None:
+        fold_of = make_crossfit_plan(n, cfg.plan, grouping=grouping)
+    else:
+        fold_of = _checked_fold_labels(fold_of, n, cfg.plan.n_folds)
     if grouping is not None:
         validate_dataset(d, grouping)
     m_hat = np.empty(n)
@@ -113,7 +133,8 @@ def crossfit_nuisance(
     spec_e = cfg.propensity_spec
     if isinstance(spec_e, KnownPropensity):
         e_hat[:] = np.clip(_known_column(spec_e, n), CLIP, 1.0 - CLIP)
-    for k, test_idx in enumerate(plan.folds):
+    for k in range(cfg.plan.n_folds):
+        test_idx = np.flatnonzero(fold_of == k)
         train_idx = np.flatnonzero(fold_of != k)
         if train_idx.size == 0:
             raise TooFewSamples(f"fold {k} has an empty training complement")
@@ -170,7 +191,7 @@ def transformed_sample_from_nuisance(
 ) -> TransformedSample:
     """Robinson-transformed variables for the generic LS engine."""
     v_hat = (d.a - nf.e_hat)[:, None] * g.indicator()
-    return TransformedSample(z_hat=d.y - nf.m_hat, v_hat=v_hat, fold_of=nf.fold_of)
+    return TransformedSample(z_hat=d.y - nf.m_hat, v_hat=v_hat)
 
 
 def single_run(
@@ -178,8 +199,8 @@ def single_run(
 ) -> tuple[GroupEffects, NuisanceFit]:
     """One split: folds of cfg.plan drawn from seed, cross-fitted nuisances,
     the closed form, and ZeroVarianceGroup for a group with no variance."""
-    plan = make_crossfit_plan(d.n, cfg.plan, grouping=g, seed=seed)
-    nf = crossfit_nuisance(d, replace(cfg, plan=plan), grouping=g)
+    fold_of = make_crossfit_plan(d.n, cfg.plan, grouping=g, seed=seed)
+    nf = crossfit_nuisance(d, cfg, grouping=g, fold_of=fold_of)
     return check_variances(estimate_ssls(d, g, nf)), nf
 
 
@@ -215,12 +236,9 @@ def _repeated_runs(
     """repeated_ssls, also returning the first split's nuisance fit. Split s
     draws its folds from seeds[s]; by default that is the key of child s of
     the plan seed's "repeat" stream."""
-    repeats = cfg.plan.repeats
-    if repeats < 1:
-        raise DomainError("repeats must be >= 1")
     if seeds is None:
         root = Stream(cfg.plan.seed).child("repeat")
-        seeds = [root.child(s).key for s in range(repeats)]
+        seeds = [root.child(s).key for s in range(cfg.plan.repeats)]
     first, first_fit = single_run(d, g, cfg, seed=seeds[0])
     runs = [first] + [single_run(d, g, cfg, seed=seed)[0] for seed in seeds[1:]]
     return aggregate_effects(runs), first_fit

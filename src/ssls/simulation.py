@@ -203,9 +203,9 @@ def _map_reps(fn, reps: int, workers: int) -> list:
         return list(ex.map(fn, range(reps), chunksize=chunk))
 
 
-# Every replicate cross-fits on two unstratified folds, which single_run draws
-# from the replicate's own "plan" stream.
-_REP_PLAN = CrossFitPlan(n_folds=2)
+# Every replicate cross-fits on the plan's default two unstratified folds,
+# which single_run draws from the replicate's own "plan" stream.
+_REP_PLAN = CrossFitPlan()
 
 
 def learner_specs(name: str, truth=None):

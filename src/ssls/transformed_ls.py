@@ -17,11 +17,10 @@ from .errors import NotSPD, SingularGram
 
 @dataclass(frozen=True)
 class TransformedSample:
-    """Out-of-fold transformed outcome/regressors plus fold bookkeeping."""
+    """Out-of-fold transformed outcome and regressors."""
 
     z_hat: np.ndarray
     v_hat: np.ndarray
-    fold_of: np.ndarray
 
     def __post_init__(self):
         z = np.asarray(self.z_hat, dtype=np.float64)
@@ -30,7 +29,6 @@ class TransformedSample:
             v = v[:, None]
         object.__setattr__(self, "z_hat", z)
         object.__setattr__(self, "v_hat", v)
-        object.__setattr__(self, "fold_of", np.asarray(self.fold_of, dtype=np.int64))
 
     @property
     def n(self) -> int:

@@ -2,7 +2,6 @@
 
 import csv
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,13 +192,33 @@ def test_discover_repeats_take_componentwise_medians(blob_csv, tmp_path):
     grouping = Grouping([int(r["label"]) for r in rows], 2)
     root = Stream(3).child("dssls-estimation")
     taus = []
+    cfg = SslsConfig(OlsSpec(), KnownPropensity(0.5), CrossFitPlan(stratified=True))
     for seed in (root.key, root.child(1).key, root.child(2).key):
-        plan = make_crossfit_plan(d_est.n, CrossFitPlan(stratified=True),
-                                  grouping=grouping, seed=seed)
-        nf = estimator.crossfit_nuisance(
-            d_est, SslsConfig(OlsSpec(), KnownPropensity(0.5), plan), grouping)
+        fold_of = make_crossfit_plan(d_est.n, cfg.plan, grouping=grouping, seed=seed)
+        nf = estimator.crossfit_nuisance(d_est, cfg, grouping, fold_of=fold_of)
         taus.append(estimator.estimate_ssls(d_est, grouping, nf).tau_hat)
     assert tau3 == np.median(taus, axis=0).tolist()
+
+
+@pytest.mark.parametrize("command", ["estimate", "discover"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--repeats", "0", "repeats must be >= 1"),
+    ("--folds", "1", "n_folds must be >= 2, got 1"),
+    ("--folds", "0", "n_folds must be >= 2, got 0"),
+])
+def test_bad_plan_setting_exit_2_before_fitting(toy_csv, blob_csv, tmp_path, capsys,
+                                                monkeypatch, command, flag, value,
+                                                message):
+    def fail(*args, **kwargs):
+        raise AssertionError("a model was fitted")
+    for name in ("fit_kmeans", "fit_regression", "fit_propensity"):
+        monkeypatch.setattr(estimator, name, fail)
+    out = tmp_path / "out"
+    args = (estimate_args(toy_csv, out, [flag, value]) if command == "estimate"
+            else discover_args(blob_csv, out, [flag, value]))
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.glob("*")) == []
 
 
 @pytest.mark.parametrize("value", ["1.5", "nan"])
@@ -455,8 +474,8 @@ def _refit_split0_mse(argv):
                           covariates=["x1", "x2", "x3"], group="g")
     cfg = _build_config(args, None)
     seed0 = Stream(cfg.plan.seed).child("repeat").child(0).key
-    plan = make_crossfit_plan(d.n, replace(cfg.plan, folds=()), grouping=g, seed=seed0)
-    nf = estimator.crossfit_nuisance(d, replace(cfg, plan=plan), grouping=g)
+    fold_of = make_crossfit_plan(d.n, cfg.plan, grouping=g, seed=seed0)
+    nf = estimator.crossfit_nuisance(d, cfg, grouping=g, fold_of=fold_of)
     return float(np.mean((d.y - nf.m_hat) ** 2))
 
 

@@ -3,6 +3,8 @@
 import csv
 import math
 import warnings
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ from ssls.data import (
     validate_dataset,
 )
 from ssls.errors import (
+    DomainError,
     EmptyGroup,
+    FoldsNotPartition,
     LengthMismatch,
     NonBinaryTreatment,
     NonFinite,
@@ -27,6 +31,7 @@ from ssls.errors import (
     TooFewSamples,
 )
 from ssls.learners import KnownPropensity
+from ssls.rng import Stream
 
 
 def small_dataset():
@@ -83,36 +88,36 @@ def test_validate_propensity_range():
 
 
 def test_plan_even_split():
-    plan = make_crossfit_plan(10, CrossFitPlan(n_folds=2, seed=1))
-    assert sorted(len(f) for f in plan.folds) == [5, 5]
+    fold_of = make_crossfit_plan(10, CrossFitPlan(n_folds=2, seed=1))
+    assert fold_of.dtype == np.int64 and fold_of.shape == (10,)
+    assert sorted(np.bincount(fold_of)) == [5, 5]
 
 
 def test_plan_odd_split():
-    plan = make_crossfit_plan(9, CrossFitPlan(n_folds=2, seed=1))
-    assert sorted(len(f) for f in plan.folds) == [4, 5]
+    fold_of = make_crossfit_plan(9, CrossFitPlan(n_folds=2, seed=1))
+    assert sorted(np.bincount(fold_of)) == [4, 5]
 
 
 def test_plan_partition_is_bijection():
     for n, k in [(10, 2), (9, 3), (101, 5)]:
-        plan = make_crossfit_plan(n, CrossFitPlan(n_folds=k, seed=3))
-        union = np.concatenate(plan.folds)
-        assert np.array_equal(np.sort(union), np.arange(n))
+        fold_of = make_crossfit_plan(n, CrossFitPlan(n_folds=k, seed=3))
+        assert fold_of.shape == (n,)
+        assert set(fold_of.tolist()) == set(range(k))
 
 
 def test_plan_deterministic():
     a = make_crossfit_plan(57, CrossFitPlan(n_folds=3, seed=11))
     b = make_crossfit_plan(57, CrossFitPlan(n_folds=3, seed=11))
-    for fa, fb in zip(a.folds, b.folds):
-        assert np.array_equal(fa, fb)
+    assert np.array_equal(a, b)
     c = make_crossfit_plan(57, CrossFitPlan(n_folds=3, seed=12))
-    assert any(not np.array_equal(fa, fc) for fa, fc in zip(a.folds, c.folds))
+    assert not np.array_equal(a, c)
 
 
 def test_plan_stratified_even_groups():
     g = Grouping([1, 1, 1, 1, 2, 2, 2, 2], 2)
-    plan = make_crossfit_plan(8, CrossFitPlan(n_folds=2, stratified=True, seed=5), g)
-    for fold in plan.folds:
-        labels = g.labels[fold]
+    fold_of = make_crossfit_plan(8, CrossFitPlan(n_folds=2, stratified=True, seed=5), g)
+    for k in range(2):
+        labels = g.labels[fold_of == k]
         assert (labels == 1).sum() == 2
         assert (labels == 2).sum() == 2
 
@@ -123,9 +128,9 @@ def test_plan_stratified_within_one_of_each_group():
     labels[:4] = [1, 2, 3, 4]
     g = Grouping(labels, 4)
     for k in (2, 3):
-        plan = make_crossfit_plan(103, CrossFitPlan(n_folds=k, stratified=True, seed=2), g)
+        fold_of = make_crossfit_plan(103, CrossFitPlan(n_folds=k, stratified=True, seed=2), g)
         for grp in range(1, 5):
-            counts = [(g.labels[f] == grp).sum() for f in plan.folds]
+            counts = np.bincount(fold_of[g.labels == grp], minlength=k)
             assert max(counts) - min(counts) <= 1
 
 
@@ -137,6 +142,134 @@ def test_plan_too_few():
 def test_plan_stratified_requires_grouping():
     with pytest.raises(ValueError):
         make_crossfit_plan(10, CrossFitPlan(n_folds=2, stratified=True))
+
+
+@pytest.mark.parametrize("length", [11, 9])
+def test_plan_stratified_grouping_of_wrong_length(length):
+    g = Grouping(np.arange(length) % 2 + 1, 2)
+    with pytest.raises(LengthMismatch, match=f"the grouping has {length} labels for 10 "
+                                             "observations"):
+        make_crossfit_plan(10, CrossFitPlan(stratified=True), g)
+
+
+def test_plan_stratified_label_outside_groups():
+    g = Grouping([1, 2, 1, 2, 3, 1, 2, 1], 2)
+    with pytest.raises(DomainError, match="row 4 has a group label outside 1..2"):
+        make_crossfit_plan(8, CrossFitPlan(stratified=True), g)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_folds", 1, "n_folds must be >= 2, got 1"),
+    ("n_folds", 0, "n_folds must be >= 2, got 0"),
+    ("repeats", 0, "repeats must be >= 1"),
+])
+def test_plan_settings_checked_on_construction(field, value, message):
+    with pytest.raises(DomainError, match=message):
+        CrossFitPlan(**{field: value})
+
+
+# The fold plan as it was when a split was a tuple of sorted index arrays,
+# kept as the oracle of the label vector that replaced it.
+@dataclass(frozen=True)
+class _TuplePlan:
+    n_folds: int = 2
+    stratified: bool = False
+    repeats: int = 1
+    seed: int = 0
+    folds: tuple = ()
+
+    def fold_of(self, n: int) -> np.ndarray:
+        """The fold of each of n rows; FoldsNotPartition unless the folds
+        partition rows 0..n-1."""
+        held = sum(len(f) for f in self.folds)
+        if held != n:
+            raise FoldsNotPartition(f"the folds hold {held} rows for {n} observations")
+        out = np.full(n, -1, dtype=np.int64)
+        try:
+            for k, idx in enumerate(self.folds):
+                out[idx] = k
+        except IndexError:
+            raise FoldsNotPartition(f"fold {k} holds a row outside 0..{n - 1}") from None
+        if n and out.min() < 0:  # n rows in the folds, so one is in two of them
+            raise FoldsNotPartition(f"row {int(out.argmin())} is in no fold")
+        return out
+
+
+def _chunk_sizes(m: int, k: int) -> list[int]:
+    base, rem = divmod(m, k)
+    return [base + 1 if i < rem else base for i in range(k)]
+
+
+def _tuple_crossfit_plan(
+    n: int,
+    plan: _TuplePlan | None = None,
+    grouping: Optional[Grouping] = None,
+    seed: Optional[int] = None,
+) -> _TuplePlan:
+    """Materialize fold assignments for n observations.
+
+    Unstratified folds are a random partition with sizes differing by at
+    most one. Stratified folds split every group's members that evenly,
+    rotating which fold receives each group's remainder so totals stay
+    balanced. Deterministic given the seed.
+    """
+    if plan is None:
+        plan = _TuplePlan()
+    if seed is None:
+        seed = plan.seed
+    k = plan.n_folds
+    if k < 2:
+        raise DomainError(f"n_folds must be >= 2, got {k}")
+    if n < k:
+        raise TooFewSamples(f"cannot split {n} observations into {k} folds")
+    if plan.stratified and grouping is None:
+        raise DomainError("stratified splitting requires a grouping")
+    stream = Stream(seed).child("folds")
+
+    folds: list[list[int]] = [[] for _ in range(k)]
+    if not plan.stratified:
+        perm = stream.permutation(n)
+        start = 0
+        for j, size in enumerate(_chunk_sizes(n, k)):
+            folds[j].extend(perm[start:start + size].tolist())
+            start += size
+    else:
+        assert grouping is not None
+        for g in range(1, grouping.n_groups + 1):
+            members = np.flatnonzero(grouping.labels == g)
+            perm = members[stream.child(g).permutation(len(members))]
+            offset = (g - 1) % k
+            start = 0
+            for j, size in enumerate(_chunk_sizes(len(members), k)):
+                folds[(j + offset) % k].extend(perm[start:start + size].tolist())
+                start += size
+    if any(len(f) == 0 for f in folds):
+        raise TooFewSamples(f"a fold came out empty splitting {n} observations")
+    materialized = tuple(np.sort(np.asarray(f, dtype=np.int64)) for f in folds)
+    return replace(plan, seed=seed, folds=materialized)
+
+
+def test_plan_labels_match_the_tuple_oracle():
+    too_few = 0
+    for n in (1, 2, 3, 4, 5, 7, 10, 57, 1000, 100_000):
+        for n_groups in (1, 3, 4):
+            labels = 1 + np.random.default_rng(n + n_groups).integers(0, n_groups, n)
+            g = Grouping(labels, n_groups)
+            for k in (2, 3, 5):
+                for stratified in (False, True):
+                    for seed in (0, 411):
+                        try:
+                            oracle = _tuple_crossfit_plan(
+                                n, _TuplePlan(k, stratified), g, seed).fold_of(n)
+                        except TooFewSamples:
+                            too_few += 1
+                            with pytest.raises(TooFewSamples):
+                                make_crossfit_plan(n, CrossFitPlan(k, stratified), g, seed)
+                            continue
+                        fold_of = make_crossfit_plan(n, CrossFitPlan(k, stratified), g, seed)
+                        assert fold_of.dtype == np.int64
+                        assert np.array_equal(fold_of, oracle)
+    assert too_few > 0
 
 
 def test_relabel_dense():

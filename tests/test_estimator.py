@@ -1,7 +1,6 @@
 """Cross-fitting, the groupwise closed form, D-SSLS, repeated splits."""
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,16 +105,15 @@ def test_crossfit_out_of_fold_bookkeeping():
     y = s.normal(n) + 5.0
     d = Dataset(y=y, a=s.bernoulli(0.5, n), x=np.zeros((n, 1)))
     g = Grouping(np.ones(n, dtype=int), 1)
-    plan = make_crossfit_plan(n, CrossFitPlan(n_folds=2, seed=9))
-    cfg = SslsConfig(CartSpec(min_leaf=2), KnownPropensity(0.5),
-                     plan)
-    nf = crossfit_nuisance(d, cfg, g)
-    for k, fold in enumerate(plan.folds):
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
-        expected = y[mask].mean()
-        assert np.allclose(nf.m_hat[fold], expected, atol=1e-12)
-        assert (nf.fold_of[fold] == k).all()
+    plan = CrossFitPlan(n_folds=2, seed=9)
+    fold_of = make_crossfit_plan(n, plan)
+    cfg = SslsConfig(CartSpec(min_leaf=2), KnownPropensity(0.5), plan)
+    nf = crossfit_nuisance(d, cfg, g, fold_of=fold_of)
+    assert np.array_equal(nf.fold_of, fold_of)
+    assert np.array_equal(crossfit_nuisance(d, cfg, g).fold_of, fold_of)  # drawn from cfg.plan
+    for k in range(2):
+        fold = fold_of == k
+        assert np.allclose(nf.m_hat[fold], y[~fold].mean(), atol=1e-12)
 
 
 def test_crossfit_one_arm_fold():
@@ -129,26 +127,28 @@ def test_crossfit_one_arm_fold():
 
 
 @pytest.mark.parametrize("folds, message", [
-    ((np.arange(100), np.arange(100)), "row 100 is in no fold"),
-    ((np.arange(100), np.arange(99, 199)), "row 199 is in no fold"),
-    ((np.arange(100), np.arange(101, 201)), "fold 1 holds a row outside 0..199"),
-    ((np.arange(100), np.arange(100, 150)), "the folds hold 150 rows for 200"),
+    (np.arange(200) % 3, "fold label 2 of row 2 is outside 0..1"),
+    (np.arange(200) % 2 - 1, "fold label -1 of row 0 is outside 0..1"),
+    (np.zeros(200), "fold labels must be a vector of integers, got float64 of shape"),
+    (np.zeros(150, dtype=np.int64), "the folds hold 150 rows for 200 observations"),
 ])
 def test_crossfit_rejects_folds_that_do_not_partition(monkeypatch, folds, message):
     # before, uncovered rows kept np.empty garbage and tau_hat came back
     d, g, _ = draw_dgp1(Dgp1Config(n=200), stream=Stream(2).child("d"))
-    cfg = SslsConfig(OlsSpec(), KnownPropensity(0.5), CrossFitPlan(folds=folds))
+    cfg = SslsConfig(OlsSpec(), KnownPropensity(0.5), CrossFitPlan())
     _no_fitting(monkeypatch)
     with pytest.raises(FoldsNotPartition, match=message):
-        crossfit_nuisance(d, cfg, g)
+        crossfit_nuisance(d, cfg, g, fold_of=folds)
 
 
 def test_crossfit_rejects_a_plan_drawn_for_another_n():
     # before, folds materialized for 100 rows were silently redrawn for 200
     d, g, _ = draw_dgp1(Dgp1Config(n=200), stream=Stream(2).child("d"))
-    plan = make_crossfit_plan(100, CrossFitPlan(seed=1))
+    plan = CrossFitPlan(seed=1)
+    fold_of = make_crossfit_plan(100, plan)
     with pytest.raises(FoldsNotPartition, match="the folds hold 100 rows for 200"):
-        crossfit_nuisance(d, SslsConfig(OlsSpec(), KnownPropensity(0.5), plan), g)
+        crossfit_nuisance(d, SslsConfig(OlsSpec(), KnownPropensity(0.5), plan), g,
+                          fold_of=fold_of)
 
 
 def test_estimate_hand_example():
@@ -224,8 +224,8 @@ def test_repeats_single_is_identity():
     cfg = oracle_cfg(truth, seed=8, repeats=1)
     once = repeated_ssls(d, g, cfg)
     seed0 = Stream(8).child("repeat").child(0).key
-    plan = make_crossfit_plan(d.n, CrossFitPlan(seed=seed0), grouping=g)
-    nf = crossfit_nuisance(d, SslsConfig(cfg.regression_spec, cfg.propensity_spec, plan), g)
+    fold_of = make_crossfit_plan(d.n, cfg.plan, grouping=g, seed=seed0)
+    nf = crossfit_nuisance(d, cfg, g, fold_of=fold_of)
     direct = estimate_ssls(d, g, nf)
     assert np.array_equal(once.tau_hat, direct.tau_hat)
 
@@ -297,8 +297,8 @@ def test_dssls_bypass_matches_manual():
     d_est = d.subset(est_idx)
     grouping = Grouping(rule(d_est.x), 2)
     seed_est = Stream(21).child("dssls-estimation").key
-    plan = make_crossfit_plan(d_est.n, CrossFitPlan(seed=seed_est), grouping=grouping)
-    nf = crossfit_nuisance(d_est, SslsConfig(OlsSpec(), KnownPropensity(0.5), plan), grouping)
+    fold_of = make_crossfit_plan(d_est.n, cfg.plan, grouping=grouping, seed=seed_est)
+    nf = crossfit_nuisance(d_est, cfg, grouping, fold_of=fold_of)
     manual = estimate_ssls(d_est, grouping, nf)
     assert np.array_equal(res.effects.tau_hat, manual.tau_hat)
     assert np.array_equal(res.effects.sigma_gg_hat, manual.sigma_gg_hat)
@@ -480,16 +480,14 @@ def test_row_permutation_invariance(learner_y, learner_e):
     # changes; trees see the same presorted orders on tie-free covariates.
     for seed in range(3):
         d, g = _tie_free_design(900 + seed)
-        plan = make_crossfit_plan(d.n, CrossFitPlan(seed=seed))
-        cfg = SslsConfig(learner_y, learner_e, plan)
-        base = estimate_ssls(d, g, crossfit_nuisance(d, cfg, g))
+        cfg = SslsConfig(learner_y, learner_e, CrossFitPlan(seed=seed))
+        fold_of = make_crossfit_plan(d.n, cfg.plan)
+        base = estimate_ssls(d, g, crossfit_nuisance(d, cfg, g, fold_of=fold_of))
 
-        perm = Stream(seed).child("rows").permutation(d.n)
-        new_row = np.argsort(perm)  # old row perm[i] is new row i
-        moved_plan = replace(plan, folds=tuple(np.sort(new_row[f]) for f in plan.folds))
+        perm = Stream(seed).child("rows").permutation(d.n)  # new row i is old row perm[i]
         d_moved = Dataset(d.y[perm], d.a[perm], d.x[perm])
         g_moved = Grouping(g.labels[perm], g.n_groups)
-        moved_cfg = SslsConfig(learner_y, learner_e, moved_plan)
-        moved = estimate_ssls(d_moved, g_moved, crossfit_nuisance(d_moved, moved_cfg, g_moved))
+        moved = estimate_ssls(d_moved, g_moved, crossfit_nuisance(
+            d_moved, cfg, g_moved, fold_of=fold_of[perm]))
         assert np.allclose(moved.tau_hat, base.tau_hat, rtol=1e-9, atol=0.0)
         assert np.allclose(moved.se(), base.se(), rtol=1e-9, atol=0.0)

@@ -13,7 +13,7 @@ from ssls.transformed_ls import (
 
 
 def make_sample(z, v):
-    return TransformedSample(z_hat=z, v_hat=v, fold_of=np.zeros(len(z), dtype=int))
+    return TransformedSample(z_hat=z, v_hat=v)
 
 
 def test_exact_fit_zero_residuals():
