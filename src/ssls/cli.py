@@ -20,7 +20,14 @@ import numpy as np
 
 from .clustering import KMeansSpec
 from .data import CrossFitPlan, csv_rows, load_csv
-from .diagnostics import covariate_column, flag_regions, residual_series
+from .diagnostics import (
+    check_covariate_index,
+    check_sd_multiplier,
+    check_smoother,
+    covariate_column,
+    flag_regions,
+    residual_series,
+)
 from .errors import (
     ClusteringDegenerate,
     DomainError,
@@ -32,7 +39,7 @@ from .errors import (
 # estimator stage; it also returns the first split's nuisance fit.
 from .estimator import SslsConfig, estimate_dssls
 from .estimator import _repeated_runs as repeated_ssls
-from .inference import Contrast, glh_test, power_min_n, simultaneous_cis
+from .inference import Contrast, check_alpha, glh_test, power_min_n, simultaneous_cis
 from .learners import KnownPropensity, learner_spec
 from .simulation import (
     run_diagnostic_once,
@@ -96,41 +103,38 @@ def _propensity_column(raw: str | None) -> str | None:
     return None
 
 
-def _resolve_propensity(raw: str | None, column: np.ndarray | None):
-    """--propensity as a KnownPropensity: the column load_csv read for it, or
-    the literal constant; None when the flag is absent."""
-    if column is not None:
-        return KnownPropensity(column)
-    return None if raw is None else KnownPropensity(float(raw))
-
-
 def _load(args, need_group: bool):
+    """Check every setting, then read the CSV: the dataset, the grouping, its
+    relabeling, the covariate names and the SslsConfig. Of the settings only
+    a known propensity column waits for the data, so a bad setting fails
+    before the file is read."""
     covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
     if not covariates:
         raise DomainError("--covariates must name at least one column")
-    dataset, grouping, mapping, column = load_csv(
+    check_alpha(args.alpha)
+    regression = learner_spec(args.learner_y, "outcome")
+    column = _propensity_column(args.propensity)
+    if args.propensity is None:
+        propensity = learner_spec(args.learner_e or "logistic", "propensity")
+    elif column is None:
+        propensity = KnownPropensity(float(args.propensity))
+    plan = CrossFitPlan(args.n_folds, args.stratified, args.repeats, args.seed)
+    check_covariate_index(args.diag_covariate, len(covariates))
+    check_smoother(args.bandwidth, args.grid_size)
+    check_sd_multiplier(args.flag_multiplier)
+    dataset, grouping, mapping, values = load_csv(
         args.data,
         outcome=args.outcome,
         treatment=args.treatment,
         covariates=covariates,
         group=args.group if need_group else None,
-        propensity=_propensity_column(args.propensity),
+        propensity=column,
     )
     if need_group and grouping is None:
         raise DomainError("--group is required for this subcommand")
-    known = _resolve_propensity(args.propensity, column)
-    return dataset, grouping, mapping, covariates, known
-
-
-def _build_config(args, known: KnownPropensity | None) -> SslsConfig:
-    if not 0.0 < args.alpha < 1.0:
-        raise DomainError("alpha must lie in (0, 1)")
-    return SslsConfig(
-        regression_spec=learner_spec(args.learner_y, "outcome"),
-        propensity_spec=(known if known is not None
-                         else learner_spec(args.learner_e or "logistic", "propensity")),
-        plan=CrossFitPlan(args.n_folds, args.stratified, args.repeats, args.seed),
-    )
+    if column is not None:
+        propensity = KnownPropensity(values)
+    return dataset, grouping, mapping, covariates, SslsConfig(regression, propensity, plan)
 
 
 def _write_residuals(out_dir: Path, suffix: str, xcol, residuals, arm, labels,
@@ -229,8 +233,7 @@ def _report(args, covariates, effects, inference, y, nf, **extra) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    dataset, grouping, mapping, covariates, known = _load(args, need_group=True)
-    cfg = _build_config(args, known)
+    dataset, grouping, mapping, covariates, cfg = _load(args, need_group=True)
     contrast = (_load_contrast(args.contrast, grouping.n_groups)
                 if args.contrast else None)
     effects, nf0 = repeated_ssls(dataset, grouping, cfg)
@@ -259,13 +262,12 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_discover(args) -> int:
-    dataset, _, _, covariates, known = _load(args, need_group=False)
-    cfg = _build_config(args, known)
     spec = KMeansSpec(
         n_groups=args.groups,
         seed=args.seed,
         min_group_size=args.min_group_size,
     )
+    dataset, _, _, covariates, cfg = _load(args, need_group=False)
     result = estimate_dssls(dataset, spec, cfg)
     est_idx = result.estimation_indices
     payload = _report(args, covariates, result.effects,
@@ -342,8 +344,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    dataset, grouping, _, _, known = _load(args, need_group=True)
-    cfg = _build_config(args, known)
+    dataset, grouping, _, _, cfg = _load(args, need_group=True)
     effects, nf0 = repeated_ssls(dataset, grouping, cfg)
     xcol, bandwidth, series = _smoothed_residuals(dataset, effects, args)
     flags = {

@@ -91,10 +91,31 @@ def _nw_smooth(xs, resids, lo: float, hi: float, grid_size: int, h: float):
     return out
 
 
+def check_covariate_index(covariate_index: int, n_covariates: int) -> None:
+    """DomainError unless covariate_index names one of n_covariates columns."""
+    if not 0 <= covariate_index < n_covariates:
+        raise DomainError(f"covariate index {covariate_index} out of range")
+
+
+def check_smoother(bandwidth: float | None, grid_size: int) -> None:
+    """DomainError unless the bandwidth is finite and positive (None: still
+    to be chosen from the data) and the grid has at least one point."""
+    if bandwidth is not None and not (np.isfinite(bandwidth) and bandwidth > 0):
+        raise DomainError(f"bandwidth must be finite and positive, got {bandwidth}")
+    if grid_size < 1:
+        raise DomainError(f"grid size must be at least 1, got {grid_size}")
+
+
+def check_sd_multiplier(sd_multiplier: float) -> None:
+    """DomainError unless the flagging band's multiplier is finite and
+    non-negative."""
+    if not (np.isfinite(sd_multiplier) and sd_multiplier >= 0):
+        raise DomainError(f"sd multiplier must be finite and non-negative, got {sd_multiplier}")
+
+
 def covariate_column(d: Dataset, covariate_index: int) -> np.ndarray:
     """Column covariate_index of d.x; a DomainError if there is none."""
-    if not 0 <= covariate_index < d.x.shape[1]:
-        raise DomainError(f"covariate index {covariate_index} out of range")
+    check_covariate_index(covariate_index, d.x.shape[1])
     return d.x[:, covariate_index]
 
 
@@ -110,10 +131,7 @@ def residual_series(
     The grid spans the covariate's observed (pooled) range so the two arms
     are directly comparable.
     """
-    if not (np.isfinite(bandwidth) and bandwidth > 0):
-        raise DomainError(f"bandwidth must be finite and positive, got {bandwidth}")
-    if grid_size < 1:
-        raise DomainError(f"grid size must be at least 1, got {grid_size}")
+    check_smoother(bandwidth, grid_size)
     xcol = covariate_column(d, covariate_index)
     if ge.residuals.shape[0] != d.n:
         raise DomainError("residuals and dataset lengths disagree")
@@ -135,8 +153,7 @@ def _exceeds_band(rs: ResidualSeries, sd_multiplier: float) -> np.ndarray:
     """Grid points where the smoothed mean leaves the noise band
     sd_multiplier * (residual SD) / sqrt(kernel-effective local sample size);
     points without local support never exceed it."""
-    if not (np.isfinite(sd_multiplier) and sd_multiplier >= 0):
-        raise DomainError(f"sd multiplier must be finite and non-negative, got {sd_multiplier}")
+    check_sd_multiplier(sd_multiplier)
     sd = float(np.std(rs.residuals))
     with np.errstate(divide="ignore", invalid="ignore"):
         band = sd_multiplier * sd / np.sqrt(rs.effective_n)

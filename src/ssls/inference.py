@@ -14,8 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import GroupEffects
-from .dists import chisq_cdf, chisq_quantile, normal_cdf, normal_quantile
+from .dists import chisq_quantile, chisq_sf, normal_cdf, normal_quantile
 from .errors import DomainError, ZeroVarianceContrast, ZeroVarianceGroup
+
+
+def check_alpha(alpha: float) -> None:
+    """DomainError unless the level alpha lies in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def maxt_critical(alpha: float, n_comparisons: int) -> float:
@@ -24,8 +30,7 @@ def maxt_critical(alpha: float, n_comparisons: int) -> float:
     q = z at level 1 - (1 - (1-alpha)^(1/G)) / 2; reduces to z_{1-alpha/2}
     at G = 1 and grows slowly with the number of comparisons.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if n_comparisons < 1:
         raise DomainError(f"need at least one comparison, got {n_comparisons}")
     per_test = 1.0 - (1.0 - alpha) ** (1.0 / n_comparisons)
@@ -111,14 +116,14 @@ def simultaneous_cis(ge: GroupEffects, alpha: float = 0.05, tau0=None) -> Infere
     two-sided normal p-values, pointwise intervals at z_crit, and
     simultaneous intervals at q_crit, which control the familywise error
     rate at alpha. ZeroVarianceGroup names a group with no standard error."""
+    q = maxt_critical(alpha, ge.n_groups)
+    z = normal_quantile(1.0 - alpha / 2.0)
     tau0 = np.zeros(ge.n_groups) if tau0 is None else np.asarray(tau0, dtype=np.float64)
     if tau0.shape != (ge.n_groups,):
         raise DomainError(f"tau0 must have length {ge.n_groups}")
     se = check_variances(ge).se()
     t_stat = (ge.tau_hat - tau0) / se
     p_value = np.array([2.0 * normal_cdf(-abs(t)) for t in t_stat])
-    z = normal_quantile(1.0 - alpha / 2.0)
-    q = maxt_critical(alpha, ge.n_groups)
     return InferenceReport(
         tau_hat=ge.tau_hat.copy(),
         se=se,
@@ -203,6 +208,7 @@ def glh_test(ge: GroupEffects, contrast: Contrast, alpha: float = 0.05) -> GlhRe
         raise DomainError(
             f"contrast has {contrast.K.shape[1]} columns for {ge.n_groups} groups"
         )
+    q = maxt_critical(alpha, contrast.K.shape[0])
     sigma = np.diag(ge.sigma_gg_hat)
     ksk = contrast.K @ sigma @ contrast.K.T
     diag = np.diag(ksk).copy()
@@ -224,9 +230,8 @@ def glh_test(ge: GroupEffects, contrast: Contrast, alpha: float = 0.05) -> GlhRe
     stat = float(q_vec @ (eigvecs @ (inv_vals * (eigvecs.T @ q_vec))))
     # n_effective already entered through q_vec; sigma_gg_hat is pre-division
     # by n, so the scaling is sqrt(n) * (K tau - m0) / sd-scale as displayed.
-    p_value = 1.0 - chisq_cdf(stat, rank)
+    p_value = chisq_sf(stat, rank)
     critical = chisq_quantile(1.0 - alpha, rank)
-    q = maxt_critical(alpha, q_vec.shape[0])
     return GlhResult(
         statistic=stat,
         rank=rank,
@@ -248,8 +253,7 @@ def power_min_n(z_tilde: float, alpha: float = 0.05, power: float = 0.8) -> int:
     """
     if not z_tilde > 0:
         raise DomainError(f"z_tilde must be positive, got {z_tilde}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if not 0.0 < power < 1.0:
         raise DomainError(f"power must lie in (0, 1), got {power}")
     z_sum = normal_quantile(power) + normal_quantile(1.0 - alpha / 2.0)

@@ -43,30 +43,9 @@ class LsEstimate:
     residuals: np.ndarray
 
 
-def _cholesky(m: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise NotSPD("matrix is not positive definite") from None
-
-
-def _substitute(tri: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    """Solve tri x = b for triangular tri, by forward substitution when it is
-    lower triangular and back substitution when it is upper."""
-    d = tri.shape[0]
-    out = np.array(b, dtype=np.float64)
-    squeeze = out.ndim == 1
-    if squeeze:
-        out = out[:, None]
-    for i in range(d) if lower else range(d - 1, -1, -1):
-        known = slice(0, i) if lower else slice(i + 1, d)
-        out[i] -= tri[i, known] @ out[known]
-        out[i] /= tri[i, i]
-    return out[:, 0] if squeeze else out
-
-
 def linear_solve_spd(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve m x = b for symmetric positive definite m via Cholesky."""
+    """Solve m x = b for symmetric positive definite m; NotSPD unless m is
+    symmetric and its Cholesky factorisation exists."""
     m = np.asarray(m, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -74,8 +53,12 @@ def linear_solve_spd(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     scale = np.abs(m).max()
     if scale > 0 and np.abs(m - m.T).max() > 1e-8 * scale:
         raise NotSPD("matrix is not symmetric")
-    lower = _cholesky(0.5 * (m + m.T))
-    return _substitute(lower.T, _substitute(lower, b, lower=True), lower=False)
+    m = 0.5 * (m + m.T)
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise NotSPD("matrix is not positive definite") from None
+    return np.linalg.solve(m, b)
 
 
 def solve_transformed_ls(t: TransformedSample) -> LsEstimate:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ssls import estimator
-from ssls.cli import _build_config, _fmt, build_parser, main, write_csv
+from ssls.cli import _fmt, _load, build_parser, main, write_csv
 from ssls.data import CrossFitPlan, Grouping, load_csv, make_crossfit_plan
 from ssls.estimator import SslsConfig, _three_way_split
 from ssls.learners import KnownPropensity, OlsSpec
@@ -219,6 +219,41 @@ def test_bad_plan_setting_exit_2_before_fitting(toy_csv, blob_csv, tmp_path, cap
     assert main(args) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(out.glob("*")) == []
+
+
+_SETTINGS_NAMED = [
+    ("--folds", "1", "n_folds"),
+    ("--repeats", "0", "repeats"),
+    ("--alpha", "0", "alpha"),
+    ("--alpha", "nan", "alpha"),
+    ("--learner-y", "nope", "outcome learner"),
+    ("--learner-e", "nope", "propensity learner"),
+    ("--propensity", "1.5", "propensity"),
+    ("--bandwidth", "0", "bandwidth"),
+    ("--grid-size", "0", "grid size"),
+    ("--flag-multiplier", "-1", "multiplier"),
+    ("--diag-covariate", "1", "covariate index"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, named", [
+    *[(command, *case) for command in ("estimate", "discover", "diagnose")
+      for case in _SETTINGS_NAMED],
+    ("discover", "--groups", "1", "n_groups"),
+    ("discover", "--min-group-size", "0", "min_group_size"),
+])
+def test_bad_setting_named_before_the_csv_is_read(tmp_path, capsys, command, flag,
+                                                  value, named):
+    missing = tmp_path / "missing.csv"
+    args = [command, "--data", str(missing), "--outcome", "y", "--treatment", "a",
+            "--covariates", "x1", "--out-dir", str(tmp_path / "out"),
+            *(["--groups", "2"] if command == "discover" else ["--group", "grp"]),
+            flag, value]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "missing.csv" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["1.5", "nan"])
@@ -469,10 +504,7 @@ def dgp1_csv(tmp_path):
 
 def _refit_split0_mse(argv):
     """The nuisance-quality figure as once computed: a fresh split-0 refit."""
-    args = build_parser().parse_args(argv)
-    d, g, _, _ = load_csv(args.data, outcome="y", treatment="a",
-                          covariates=["x1", "x2", "x3"], group="g")
-    cfg = _build_config(args, None)
+    d, g, _, _, cfg = _load(build_parser().parse_args(argv), need_group=True)
     seed0 = Stream(cfg.plan.seed).child("repeat").child(0).key
     fold_of = make_crossfit_plan(d.n, cfg.plan, grouping=g, seed=seed0)
     nf = estimator.crossfit_nuisance(d, cfg, grouping=g, fold_of=fold_of)

@@ -202,6 +202,25 @@ def test_glh_row_selector_matches_squared_t():
         assert res.rank == 1
 
 
+def test_glh_one_row_p_value_is_the_row_p_value():
+    # z = 10: the one-df chi-square tail of z^2 = 100 is 1.5e-23, which
+    # 1 - chisq_cdf would round to 0
+    for tau in (0.5, 3.0, 10.0, 30.0):
+        ge = effects([tau, 0.0], [1.0, 1.0], 1)
+        res = glh_test(ge, Contrast([[1.0, 0.0]], [0.0]))
+        assert res.statistic == pytest.approx(tau * tau, rel=1e-12)
+        assert res.p_value == pytest.approx(res.row_p_values[0], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, float("nan")])
+def test_bad_alpha_is_named(alpha):
+    ge = effects([1.0, 2.0], [1.0, 1.0], 10)
+    with pytest.raises(DomainError, match="alpha"):
+        simultaneous_cis(ge, alpha=alpha)
+    with pytest.raises(DomainError, match="alpha"):
+        glh_test(ge, Contrast(np.eye(2), [0.0, 0.0]), alpha=alpha)
+
+
 def test_glh_rank_deficient_pairwise():
     ge = effects([0.1, 0.2, -0.1, 0.4], [1.0, 2.0, 1.5, 1.2], 30)
     contrast = Contrast.pairwise_differences(4)
