@@ -270,14 +270,24 @@ def cmd_discover(args) -> int:
     dataset, _, _, covariates, cfg = _load(args, need_group=False)
     result = estimate_dssls(dataset, spec, cfg)
     est_idx = result.estimation_indices
+    clusterer = result.clusterer
+    assert clusterer is not None
+    converged = clusterer.restart_converged
     payload = _report(args, covariates, result.effects,
                       simultaneous_cis(result.effects, alpha=args.alpha),
                       dataset.y[est_idx], result.nuisance,
                       n_total=dataset.n,
                       n_clustering=int(len(result.clustering_indices)),
-                      n_estimation=int(len(est_idx)))
-    clusterer = result.clusterer
-    assert clusterer is not None
+                      n_estimation=int(len(est_idx)),
+                      clustering={
+                          "n_restarts": len(converged),
+                          "restart": clusterer.restart,
+                          "lloyd_iterations": len(clusterer.inertia_path),
+                          "converged": converged[clusterer.restart],
+                          "inertia": clusterer.inertia,
+                          "max_iter": spec.max_iter,
+                          "restarts_at_max_iter": converged.count(False),
+                      })
     raw = clusterer.centroids * clusterer.col_scale + clusterer.col_mean
 
     out_dir = Path(args.out_dir)

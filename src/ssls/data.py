@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -249,10 +250,27 @@ def _sort_key(v):
         return (1, 0.0, str(v))
 
 
+# The largest field limit a C long holds on every platform.
+_NO_FIELD_LIMIT = 2**31 - 1
+
+
+@contextmanager
+def _no_field_limit():
+    """Lift the csv module's field limit, which is process-global, for one
+    read and restore it afterwards, so that the csv-module path accepts every
+    cell numpy's reader does."""
+    old = csv.field_size_limit(_NO_FIELD_LIMIT)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
 def csv_rows(path: str) -> Iterator[list[str]]:
-    """csv.reader rows of path; a tokenizer or decoding error is raised as an
-    SslsError naming the file and line."""
-    with open(path, newline="") as fh:
+    """csv.reader rows of path, with no limit on a field's length; a
+    tokenizer or decoding error is raised as an SslsError naming the file and
+    line."""
+    with open(path, newline="") as fh, _no_field_limit():
         reader = csv.reader(fh)
         try:
             yield from reader
@@ -274,7 +292,7 @@ def _decode_error(path: str, encoding: str) -> SslsError:
 
 
 def _loadtxt(path: str, usecols: list[int], dtype) -> np.ndarray:
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, _no_field_limit():
         next(csv.reader(fh))  # the header
         return np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
                           usecols=usecols, dtype=dtype, ndmin=2)
@@ -283,8 +301,8 @@ def _loadtxt(path: str, usecols: list[int], dtype) -> np.ndarray:
 def _bulk_columns(path: str, usecols: list[int], group_col: Optional[int]):
     """The numeric columns usecols and the stripped group values, parsed by
     numpy's C reader; None when the csv-module path must read the file: a
-    cell numpy cannot parse or that is not finite, no data rows, or a group
-    cell that is empty or longer than the csv module's field limit.
+    cell numpy cannot parse or that is not finite, no data rows, or an empty
+    group cell.
 
     Group cells are read as objects: a fixed-width str array would take n
     times the longest value's width and drop a trailing NUL.
@@ -302,7 +320,7 @@ def _bulk_columns(path: str, usecols: list[int], group_col: Optional[int]):
     groups = None
     if raw is not None:
         groups = [v.strip() for v in raw]
-        if "" in groups or max(map(len, raw)) > csv.field_size_limit():
+        if "" in groups:
             return None
     return values, groups
 

@@ -8,6 +8,7 @@ import pytest
 
 from ssls import estimator
 from ssls.cli import _fmt, _load, build_parser, main, write_csv
+from ssls.clustering import KMeansSpec, fit_kmeans
 from ssls.data import CrossFitPlan, Grouping, load_csv, make_crossfit_plan
 from ssls.estimator import SslsConfig, _three_way_split
 from ssls.learners import KnownPropensity, OlsSpec
@@ -148,6 +149,24 @@ def test_discover_blobs(blob_csv, tmp_path):
     assert len(centroids) == 2
     report = json.loads((out / "report.json").read_text())
     assert report["n_clustering"] == 200
+
+
+def test_discover_reports_how_the_clustering_stopped(blob_csv, tmp_path):
+    out = tmp_path / "disc"
+    assert main(discover_args(blob_csv, out)) == 0
+    block = json.loads((out / "report.json").read_text())["clustering"]
+    d, _, _, _ = load_csv(str(blob_csv), outcome="y", treatment="a",
+                          covariates=["x1", "x2"])
+    fc = fit_kmeans(d.x[_three_way_split(d.n, 3)[0]], KMeansSpec(n_groups=2, seed=3))
+    assert block == {
+        "n_restarts": 10,
+        "restart": fc.restart,
+        "lloyd_iterations": len(fc.inertia_path),
+        "converged": True,
+        "inertia": fc.inertia,
+        "max_iter": 100,
+        "restarts_at_max_iter": 0,
+    }
 
 
 def test_discover_gate_failure_exit_3(blob_csv, tmp_path, capsys):
@@ -624,14 +643,19 @@ def _estimate_on(path, out_dir):
             "--learner-y", "ols", "--out-dir", str(out_dir)]
 
 
-def test_csv_field_over_limit_exit_2(toy_csv, tmp_path, capsys):
+def test_csv_field_over_limit_is_read(toy_csv, tmp_path):
+    # A 200 000-character group name, past the csv module's default field
+    # limit of 131 072, on the csv-module path: 0.8_0 is a cell only float()
+    # parses, so numpy's reader hands the file over.
+    big = "x" * 200_000
     path = tmp_path / "huge.csv"
-    lines = toy_csv.read_text().splitlines()
-    lines[3] = lines[3].replace("all", "x" * 200_000)
-    path.write_text("\n".join(lines) + "\n")
-    assert main(_estimate_on(path, tmp_path / "out")) == 2
-    err = capsys.readouterr().err
-    assert f"error: {path}: line 4: field larger than field limit" in err
+    path.write_text(toy_csv.read_text().replace("all", big).replace("0.80", "0.8_0"))
+    assert main(_estimate_on(path, tmp_path / "out")) == 0
+    assert main(_estimate_on(toy_csv, tmp_path / "toy")) == 0
+    report, toy = (json.loads((tmp_path / d / "report.json").read_text())
+                   for d in ("out", "toy"))
+    assert report["group_relabeling"] == {big: 1}
+    assert report["effects"] == toy["effects"]
 
 
 @pytest.mark.parametrize("copies", [1, 2000])

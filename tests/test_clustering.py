@@ -1,5 +1,9 @@
 """k-means fitting, canonical labels, quality gates."""
 
+import concurrent.futures
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -146,12 +150,19 @@ def test_gate_cluster_without_rows_is_degenerate():
 
 
 # Reference k-means kernels: the (n, k, p) broadcast that _sq_dist replaced.
+# They take the arguments of _plusplus_init and _lloyd, and the Lloyd ones
+# ignore the transpose zt.
+
+def _t(z):
+    return np.ascontiguousarray(z.T)
+
 
 def _broadcast_d2(z, centroids):
     return ((z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
 
 
-def _broadcast_init(z, k, stream):
+def _broadcast_init(zt, k, stream):
+    z = zt.T
     n = z.shape[0]
     centroids = np.empty((k, z.shape[1]))
     first = int(stream.integers(1, n)[0])
@@ -164,7 +175,7 @@ def _broadcast_init(z, k, stream):
     return centroids
 
 
-def _broadcast_lloyd(z, centroids, max_iter):
+def _broadcast_lloyd(z, zt, centroids, max_iter):
     n, k = z.shape[0], centroids.shape[0]
     labels = np.zeros(n, dtype=np.int64)
     path = []
@@ -187,9 +198,9 @@ def _broadcast_lloyd(z, centroids, max_iter):
         inertia = float(d2[np.arange(n), labels].sum())
         path.append(inertia)
         if inertia >= prev - 1e-12 * max(prev, 1.0):
-            break
+            return centroids, labels, path, True
         prev = inertia
-    return centroids, labels, path
+    return centroids, labels, path, False
 
 
 def _overlapping_blobs(p, seed):
@@ -234,11 +245,11 @@ def test_lloyd_reseeds_an_empty_cluster_like_broadcast():
     # second one owns no rows and is re-seeded in the first iteration.
     z = _overlapping_blobs(3, seed=42)
     init = np.vstack([z[0], z[0], z[1]])
-    fast = clustering._lloyd(z, init.copy(), max_iter=100)
-    ref = _broadcast_lloyd(z, init.copy(), max_iter=100)
+    fast = clustering._lloyd(z, _t(z), init.copy(), max_iter=100)
+    ref = _broadcast_lloyd(z, _t(z), init.copy(), max_iter=100)
     assert np.array_equal(fast[0], ref[0])
     assert np.array_equal(fast[1], ref[1])
-    assert fast[2] == ref[2]
+    assert fast[2:] == ref[2:]
 
 
 def test_lloyd_one_distance_pass_per_iteration(monkeypatch):
@@ -252,11 +263,12 @@ def test_lloyd_one_distance_pass_per_iteration(monkeypatch):
     monkeypatch.setattr(clustering, "_sq_dist", counting)
     x = _overlapping_blobs(5, seed=43)
     z = (x - x.mean(axis=0)) / x.std(axis=0)
+    zt = _t(z)
     root = Stream(44).child("kmeans")
     for r in range(5):
-        init = clustering._plusplus_init(z, 3, root.child(r))
+        init = clustering._plusplus_init(zt, 3, root.child(r))
         calls.clear()
-        _, _, path = clustering._lloyd(z, init, max_iter=100)
+        _, _, path, _ = clustering._lloyd(z, zt, init, max_iter=100)
         assert len(path) > 1
         assert len(calls) == len(path) + 1
 
@@ -329,7 +341,8 @@ def test_lloyd_ties_match_argmin(monkeypatch):
 
     monkeypatch.setattr(clustering, "_nearest", recording)
     z = _lattice()
-    centroids, labels, path = clustering._lloyd(z, _TIED_CENTROIDS.copy(), max_iter=100)
+    centroids, labels, path, _ = clustering._lloyd(z, _t(z), _TIED_CENTROIDS.copy(),
+                                                   max_iter=100)
     first = seen[0][0]
     n_at_min = (first == first.min(axis=0)).sum(axis=0)
     assert (n_at_min == 2).any() and (n_at_min >= 3).any()
@@ -339,7 +352,7 @@ def test_lloyd_ties_match_argmin(monkeypatch):
         assert np.array_equal(got_labels, want_labels)
         assert np.array_equal(got_dist, want_dist)
     assert np.array_equal(labels, seen[-1][1])
-    ref = _broadcast_lloyd(z, _TIED_CENTROIDS.copy(), max_iter=100)
+    ref = _broadcast_lloyd(z, _t(z), _TIED_CENTROIDS.copy(), max_iter=100)
     assert np.array_equal(centroids, ref[0])
     assert np.array_equal(labels, ref[1])
     assert path == ref[2]
@@ -366,7 +379,7 @@ def _nk_sq_dist(z, centroids):
     return d2.T
 
 
-def _mask_mean_lloyd(z, centroids, max_iter):
+def _mask_mean_lloyd(z, zt, centroids, max_iter):
     n, k = z.shape[0], centroids.shape[0]
     rows = np.arange(n)
     d2 = _nk_sq_dist(z, centroids)
@@ -390,9 +403,9 @@ def _mask_mean_lloyd(z, centroids, max_iter):
         inertia = float(dist_own.sum())
         path.append(inertia)
         if inertia >= prev - 1e-12 * max(prev, 1.0):
-            break
+            return centroids, labels, path, True
         prev = inertia
-    return centroids, labels, path
+    return centroids, labels, path, False
 
 
 def test_lloyd_bit_identical_on_a_discover_shaped_design():
@@ -403,16 +416,17 @@ def test_lloyd_bit_identical_on_a_discover_shaped_design():
     x = np.column_stack([s.normal(n), s.normal(n)]
                         + [s.bernoulli(0.5, n).astype(float) for _ in range(3)])
     z = (x - x.mean(axis=0)) / x.std(axis=0)
+    zt = _t(z)
     root = Stream(61).child("kmeans")
     iters = 0
     for r in range(3):
-        init = clustering._plusplus_init(z, 4, root.child(r))
-        ref = _broadcast_lloyd(z, init.copy(), max_iter=100)
+        init = clustering._plusplus_init(zt, 4, root.child(r))
+        ref = _broadcast_lloyd(z, zt, init.copy(), max_iter=100)
         for lloyd in (clustering._lloyd, _mask_mean_lloyd):
-            got = lloyd(z, init.copy(), max_iter=100)
+            got = lloyd(z, zt, init.copy(), max_iter=100)
             assert np.array_equal(got[0], ref[0])
             assert np.array_equal(got[1], ref[1])
-            assert got[2] == ref[2]
+            assert got[2:] == ref[2:]
         iters += len(ref[2])
     assert iters > 10  # several Lloyd iterations were compared
 
@@ -421,9 +435,118 @@ def test_fit_kmeans_keeps_the_lowest_inertia_restart():
     x = _overlapping_blobs(2, seed=71)
     spec = KMeansSpec(n_groups=3, seed=72, n_restarts=6)
     z = (x - x.mean(axis=0)) / x.std(axis=0)
+    zt = _t(z)
     root = Stream(72).child("kmeans")
-    paths = [clustering._lloyd(z, clustering._plusplus_init(z, 3, root.child(r)), 100)[2]
+    paths = [clustering._lloyd(z, zt, clustering._plusplus_init(zt, 3, root.child(r)), 100)[2]
              for r in range(6)]
     best = min(range(6), key=lambda r: (paths[r][-1], r))
     assert best > 0  # a later restart improves on the first
-    assert fit_kmeans(x, spec).inertia_path == tuple(paths[best])
+    fc = fit_kmeans(x, spec)
+    assert fc.inertia_path == tuple(paths[best])
+    assert fc.restart == best
+
+
+# The restarts run on a thread pool sized by the usable CPUs. The result must
+# not depend on that size: the fit is compared with the serial broadcast
+# oracle, and the pool is recorded to show how many workers it was given.
+
+def _discover_shaped(n, seed):
+    s = Stream(seed)
+    x = np.column_stack([s.normal(n), s.normal(n)]
+                        + [s.bernoulli(0.5, n).astype(float) for _ in range(3)])
+    return x, s.bernoulli(0.5, n).astype(float)
+
+
+def _recording_pool(monkeypatch):
+    sizes = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_pool_size_does_not_change_the_fit(monkeypatch, cpus):
+    x, a = _discover_shaped(3_000, seed=80)
+    spec = KMeansSpec(n_groups=4, seed=81, min_group_size=10)
+    fit_x, est = x[:1_000], Dataset(y=np.zeros(2_000), a=a[1_000:], x=x[1_000:])
+    with monkeypatch.context() as m:
+        m.setattr(clustering, "_plusplus_init", _broadcast_init)
+        m.setattr(clustering, "_lloyd", _broadcast_lloyd)
+        m.setattr(clustering, "_usable_cpus", lambda: 1)
+        ref = fit_kmeans(fit_x, spec)
+    z_est = (est.x - ref.col_mean) / ref.col_scale
+    ref_labels = np.argmin(_broadcast_d2(z_est, ref.centroids), axis=1) + 1
+
+    sizes = _recording_pool(monkeypatch)
+    monkeypatch.setattr(clustering, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(clustering, "_MIN_POOLED_ROWS", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        fc = fit_kmeans(fit_x, spec)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sizes == [cpus]
+    assert len(ref.inertia_path) > 2  # several Lloyd iterations were compared
+    assert np.array_equal(fc.centroids, ref.centroids)
+    assert fc.inertia == ref.inertia
+    assert fc.inertia_path == ref.inertia_path
+    assert (fc.restart, fc.restart_converged) == (ref.restart, ref.restart_converged)
+    assert np.array_equal(gate_grouping(fc, est, spec).labels, ref_labels)
+
+
+def test_small_fit_uses_one_worker(monkeypatch):
+    sizes = _recording_pool(monkeypatch)
+    monkeypatch.setattr(clustering, "_usable_cpus", lambda: 4)
+    x, _ = _discover_shaped(clustering._MIN_POOLED_ROWS - 1, seed=82)
+    fit_kmeans(x, KMeansSpec(n_groups=4, seed=83, max_iter=2))
+    fit_kmeans(x[:50], KMeansSpec(n_groups=4, seed=83))
+    assert sizes == [1, 1]
+
+
+def test_pool_never_exceeds_the_restarts(monkeypatch):
+    sizes = _recording_pool(monkeypatch)
+    monkeypatch.setattr(clustering, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(clustering, "_MIN_POOLED_ROWS", 0)
+    x, _ = _discover_shaped(200, seed=84)
+    fit_kmeans(x, KMeansSpec(n_groups=2, seed=85, n_restarts=3))
+    assert sizes == [3]
+
+
+def test_a_failing_restart_reaches_the_caller_and_ends_the_pool(monkeypatch):
+    class Boom(RuntimeError):
+        pass
+
+    x, _ = _discover_shaped(600, seed=86)
+    spec = KMeansSpec(n_groups=3, seed=87)
+    zt = _t((x - x.mean(axis=0)) / x.std(axis=0))
+    third = clustering._plusplus_init(zt, 3, Stream(87).child("kmeans").child(3))
+    lloyd = clustering._lloyd
+
+    def failing(z, zt, centroids, max_iter):
+        if np.array_equal(centroids, third):
+            raise Boom("restart 3")
+        return lloyd(z, zt, centroids, max_iter)
+
+    monkeypatch.setattr(clustering, "_lloyd", failing)
+    monkeypatch.setattr(clustering, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(clustering, "_MIN_POOLED_ROWS", 0)
+    before = threading.active_count()
+    with pytest.raises(Boom, match="restart 3"):
+        fit_kmeans(x, spec)
+    assert threading.active_count() == before
+
+
+def test_restarts_that_hit_max_iter_are_flagged():
+    x = _overlapping_blobs(2, seed=88)
+    spec = KMeansSpec(n_groups=3, seed=89, n_restarts=4)
+    free = fit_kmeans(x, spec)
+    assert free.restart_converged == (True,) * 4
+    capped = fit_kmeans(x, KMeansSpec(n_groups=3, seed=89, n_restarts=4, max_iter=2))
+    assert capped.restart_converged == (False,) * 4
+    assert len(capped.inertia_path) == 2

@@ -556,3 +556,33 @@ def test_relabel_dense_orders_ties_by_first_appearance():
     assert list(mapping.items()) == [("1.0", 1), ("1", 2), ("01", 3), ("a", 4),
                                      ("a\x00", 5), ("b", 6)]
     assert labels.tolist() == [6, 1, 5, 2, 4, 3, 2]
+
+
+@pytest.mark.parametrize("wide", ["note", "grp"])
+@pytest.mark.parametrize("x2", ["1000", "1_000"])
+def test_load_csv_accepts_an_oversized_cell_on_both_paths(tmp_path, wide, x2):
+    # A 200 000-character cell, far past the csv module's default field limit
+    # of 131 072, in an unbound column or in the group column. numpy's reader
+    # parses 1000; 1_000 sends the file to the csv-module path, which must
+    # accept it too and leave the process-global limit as it found it.
+    big = "a" * 200_000
+    path = tmp_path / "wide.csv"
+    rows = [_HEADER + ["note"], ["1.5", "1", "0.25", x2, "0.5", "g", big],
+            ["2", "0", "7", "3", "0.25", "h", "short"]]
+    rows[1][5 if wide == "grp" else 6] = big
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    limit = csv.field_size_limit()
+    assert _bulk_read(path) == (x2 == "1000")
+    d, g, mapping, ps = load_csv(str(path), outcome="y", treatment="a",
+                                 covariates=["x1", "x2"], group="grp", propensity="ps")
+    assert csv.field_size_limit() == limit
+    assert d.x.tolist() == [[0.25, 1000.0], [7.0, 3.0]]
+    assert ps.tolist() == [0.5, 0.25]
+    assert list(mapping) == ([big, "h"] if wide == "grp" else ["g", "h"])
+    assert g.labels.tolist() == [1, 2]
+
+    rows[2][2] = "abc"  # an error on the csv-module path restores the limit too
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    with pytest.raises(SslsError, match="cannot parse 'abc' at row 3, column 'x1'"):
+        load_csv(str(path), outcome="y", treatment="a", covariates=["x1", "x2"])
+    assert csv.field_size_limit() == limit
