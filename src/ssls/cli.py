@@ -270,8 +270,9 @@ def cmd_discover(args) -> int:
     dataset, _, _, covariates, cfg = _load(args, need_group=False)
     result = estimate_dssls(dataset, spec, cfg)
     est_idx = result.estimation_indices
+    # estimate_dssls fits k-means, and so sets clusterer, whenever its
+    # cluster_spec is not callable; a KMeansSpec is not.
     clusterer = result.clusterer
-    assert clusterer is not None
     converged = clusterer.restart_converged
     payload = _report(args, covariates, result.effects,
                       simultaneous_cis(result.effects, alpha=args.alpha),

@@ -9,6 +9,7 @@ size or with only one treatment arm.
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -165,8 +166,10 @@ def _lloyd(z: np.ndarray, zt: np.ndarray, centroids: np.ndarray, max_iter: int):
                     dist_own[far] = -1.0  # keep later reseeds off this point
         labels, dist_own = _nearest(_sq_dist(zt, centroids))
         inertia = float(dist_own.sum())
+        # Neither step can raise the inertia in exact arithmetic; a rise
+        # beyond rounding means the data's scale defeats float64.
         if inertia > prev + 1e-9 * max(prev, 1.0):
-            raise AssertionError(
+            raise ClusteringDegenerate(
                 f"inertia increased within a Lloyd run: {prev} -> {inertia}"
             )
         path.append(inertia)
@@ -176,9 +179,13 @@ def _lloyd(z: np.ndarray, zt: np.ndarray, centroids: np.ndarray, max_iter: int):
     return centroids, labels, path, False
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
     """CPUs this process may run on; where the OS cannot say (macOS, Windows),
-    the machine's count."""
+    the machine's count. A process that a multiprocessing pool started, such
+    as a Monte-Carlo replicate or a cross-fitting fold, has one CPU, so pools
+    never nest."""
+    if multiprocessing.parent_process() is not None:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
@@ -212,7 +219,7 @@ def fit_kmeans(x: np.ndarray, spec: KMeansSpec) -> FittedClusterer:
         centroids, _, path, converged = _lloyd(z, zt, init, spec.max_iter)
         return centroids, path, converged
 
-    workers = 1 if n < _MIN_POOLED_ROWS else min(_usable_cpus(), spec.n_restarts)
+    workers = 1 if n < _MIN_POOLED_ROWS else min(usable_cpus(), spec.n_restarts)
     # The attribute loads concurrent.futures' thread module on first use, so a
     # process that never clusters does not pay its memory.
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:

@@ -2,9 +2,26 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 
 class SslsError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    An error pickles as the call that built it, with its attributes, so one
+    raised in a worker process reaches the caller with the same type,
+    message and fields even where a subclass builds its message from other
+    arguments.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._call = (args, kwargs)
+        return self
+
+    def __reduce__(self):
+        args, kwargs = self._call
+        return partial(type(self), **kwargs), args, self.__dict__
 
 
 class LengthMismatch(SslsError):

@@ -195,7 +195,8 @@ def draw_blobs(cfg: BlobConfig, stream: Optional[Stream] = None):
 
 def _map_reps(fn, reps: int, workers: int) -> list:
     """[fn(rep) for rep in range(reps)], across worker processes when
-    workers > 1; fn is a partial of a module-level function, so it pickles."""
+    workers > 1; fn is a partial of a module-level function, so it pickles.
+    The first replicate to fail, in rep order, raises its error here."""
     if workers <= 1:
         return [fn(rep) for rep in range(reps)]
     chunk = max(1, reps // (workers * 4))
@@ -258,7 +259,11 @@ def run_calibration_study(
     alpha: float = 0.05,
     workers: int = 1,
 ) -> list[StudyResult]:
-    """Monte-Carlo bias/ESE/ASE/coverage over (learner, sigma_a, sigma_y) cells."""
+    """Monte-Carlo bias/ESE/ASE/coverage over (learner, sigma_a, sigma_y) cells.
+
+    workers counts the processes that run replicates. With more than one,
+    each replicate has one CPU, so its cross-fitting folds run in-process.
+    """
     if reps < 2:
         raise DomainError("reps must be >= 2 (the ESE needs a spread)")
     results = []
@@ -325,7 +330,11 @@ def run_power_study(
     workers: int = 1,
 ) -> list[PowerPoint]:
     """Rejection rate of the maxT test against alternatives at each L2
-    distance from tau0 (random sphere directions); distance 0 is the size."""
+    distance from tau0 (random sphere directions); distance 0 is the size.
+
+    workers counts the processes that run replicates. With more than one,
+    each replicate has one CPU, so its cross-fitting folds run in-process.
+    """
     points = []
     for point_index, distance in enumerate(distances):
         rep_fn = partial(_power_rep, seed, point_index, float(distance), tuple(tau0),
@@ -385,7 +394,11 @@ def run_robustness_study(
     """Bias of the groupwise estimator when the within-group effect varies
     (outcome gains a treated-arm term with zero group mean). With the
     propensity constant inside each group the estimator stays centered on
-    the group average; the non-constant arm is the negative control."""
+    the group average; the non-constant arm is the negative control.
+
+    workers counts the processes that run replicates. With more than one,
+    each replicate has one CPU, so its cross-fitting folds run in-process.
+    """
     rows = []
     for n in n_grid:
         rep_fn = partial(_robustness_rep, seed, n, constant_propensity, delta_scale)
@@ -478,7 +491,11 @@ def run_diagnostic_study(
     workers: int = 1,
 ) -> DiagnosticStudyResult:
     """Across reps: how often the wrong grouping is flagged in its
-    misspecified band, and how often the right grouping stays clean."""
+    misspecified band, and how often the right grouping stays clean.
+
+    workers counts the processes that run replicates. With more than one,
+    each replicate has one CPU, so its cross-fitting folds run in-process.
+    """
     rep_fn = partial(_diag_rep, seed, n, bandwidth, grid_size, learner, sd_multiplier)
     rows = _map_reps(rep_fn, reps, workers)
     return DiagnosticStudyResult(

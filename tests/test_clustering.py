@@ -477,13 +477,13 @@ def test_pool_size_does_not_change_the_fit(monkeypatch, cpus):
     with monkeypatch.context() as m:
         m.setattr(clustering, "_plusplus_init", _broadcast_init)
         m.setattr(clustering, "_lloyd", _broadcast_lloyd)
-        m.setattr(clustering, "_usable_cpus", lambda: 1)
+        m.setattr(clustering, "usable_cpus", lambda: 1)
         ref = fit_kmeans(fit_x, spec)
     z_est = (est.x - ref.col_mean) / ref.col_scale
     ref_labels = np.argmin(_broadcast_d2(z_est, ref.centroids), axis=1) + 1
 
     sizes = _recording_pool(monkeypatch)
-    monkeypatch.setattr(clustering, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(clustering, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(clustering, "_MIN_POOLED_ROWS", 0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
@@ -502,7 +502,7 @@ def test_pool_size_does_not_change_the_fit(monkeypatch, cpus):
 
 def test_small_fit_uses_one_worker(monkeypatch):
     sizes = _recording_pool(monkeypatch)
-    monkeypatch.setattr(clustering, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(clustering, "usable_cpus", lambda: 4)
     x, _ = _discover_shaped(clustering._MIN_POOLED_ROWS - 1, seed=82)
     fit_kmeans(x, KMeansSpec(n_groups=4, seed=83, max_iter=2))
     fit_kmeans(x[:50], KMeansSpec(n_groups=4, seed=83))
@@ -511,7 +511,7 @@ def test_small_fit_uses_one_worker(monkeypatch):
 
 def test_pool_never_exceeds_the_restarts(monkeypatch):
     sizes = _recording_pool(monkeypatch)
-    monkeypatch.setattr(clustering, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(clustering, "usable_cpus", lambda: 4)
     monkeypatch.setattr(clustering, "_MIN_POOLED_ROWS", 0)
     x, _ = _discover_shaped(200, seed=84)
     fit_kmeans(x, KMeansSpec(n_groups=2, seed=85, n_restarts=3))
@@ -534,7 +534,7 @@ def test_a_failing_restart_reaches_the_caller_and_ends_the_pool(monkeypatch):
         return lloyd(z, zt, centroids, max_iter)
 
     monkeypatch.setattr(clustering, "_lloyd", failing)
-    monkeypatch.setattr(clustering, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(clustering, "usable_cpus", lambda: 2)
     monkeypatch.setattr(clustering, "_MIN_POOLED_ROWS", 0)
     before = threading.active_count()
     with pytest.raises(Boom, match="restart 3"):

@@ -1,5 +1,7 @@
 """Cross-fitting, the groupwise closed form, D-SSLS, repeated splits."""
 
+import multiprocessing
+import sys
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from ssls.errors import (
     DegenerateGroup,
     FoldsNotPartition,
     LengthMismatch,
+    NonConvergenceWarning,
     NonFinite,
     OneArmOnly,
     TooFewSamples,
@@ -491,3 +494,101 @@ def test_row_permutation_invariance(learner_y, learner_e):
             d_moved, cfg, g_moved, fold_of=fold_of[perm]))
         assert np.allclose(moved.tau_hat, base.tau_hat, rtol=1e-9, atol=0.0)
         assert np.allclose(moved.se(), base.se(), rtol=1e-9, atol=0.0)
+
+
+# Fork-join cross-fitting. The crossover is forced to 0 so that every fit
+# below takes the forked path, and the CPU count is patched so that 1 (no
+# children), 2 and 4 CPUs are all exercised on any machine; the folds must
+# come out as the serial loop's, bit for bit.
+
+forking = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                             reason="folds run in forked processes on Linux only")
+
+
+def _serial_and_forked(monkeypatch, fit, cpus):
+    """fit() with one CPU, then with `cpus` CPUs and no crossover."""
+    monkeypatch.setattr(estimator, "usable_cpus", lambda: 1)
+    serial = fit()
+    monkeypatch.setattr(estimator, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(estimator, "_MIN_FORKED_WORK", 0)
+    return serial, fit()
+
+
+@forking
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("n_folds", [2, 5])
+@pytest.mark.parametrize("learners", ["gbm/logistic", "gbm/gbm", "cart/cart", "oracle",
+                                      "known"])
+def test_forked_folds_equal_the_serial_fit(monkeypatch, cpus, n_folds, learners):
+    d, g, truth = draw_dgp1(Dgp1Config(n=240), stream=Stream(31).child("d"))
+    small = GbmSpec(n_trees=10)
+    specs = {"gbm/logistic": (small, LogisticSpec()),
+             "gbm/gbm": (small, small),
+             "cart/cart": (CartSpec(), CartSpec()),
+             # lambdas do not pickle; the forked folds inherit them
+             "oracle": (OracleSpec(lambda x: truth.outcome_mean(x)),
+                        OracleSpec(lambda x: truth.propensity(x))),
+             "known": (small, KnownPropensity(truth.propensity(d.x)))}[learners]
+    cfg = SslsConfig(*specs, CrossFitPlan(n_folds=n_folds, seed=7))
+    serial, forked = _serial_and_forked(monkeypatch, lambda: crossfit_nuisance(d, cfg, g),
+                                        cpus)
+    for name in ("m_hat", "e_hat", "fold_of"):
+        assert np.array_equal(getattr(forked, name), getattr(serial, name)), name
+
+
+@forking
+@pytest.mark.parametrize("sizes, message", [
+    # fold 0 trains on 10 rows, too few for min_leaf 10, in a child; fold 1
+    # trains on 35 rows in this process and succeeds
+    ((35, 10), "10 rows is too few to fit GbmSpec"),
+    # both folds fail; fold 0's error, from the child, is the one raised
+    ((15, 12), "12 rows is too few to fit GbmSpec"),
+])
+def test_an_error_in_a_forked_fold_reaches_the_caller(monkeypatch, sizes, message):
+    n = sum(sizes)
+    s = Stream(32)
+    d = Dataset(s.child("y").normal(n), (np.arange(n) % 2).astype(np.float64),
+                s.child("x").normal(n)[:, None])
+    fold_of = np.repeat([0, 1], sizes)
+    cfg = SslsConfig(GbmSpec(n_trees=5), LogisticSpec(), CrossFitPlan(seed=1))
+
+    def fit():
+        with pytest.raises(TooFewSamples) as info:
+            crossfit_nuisance(d, cfg, fold_of=fold_of)
+        return str(info.value)
+
+    serial, forked = _serial_and_forked(monkeypatch, fit, 2)
+    assert forked == serial == message
+    assert multiprocessing.active_children() == []
+
+
+@forking
+def test_forked_fold_warnings_are_raised_here_in_fold_order(monkeypatch):
+    d, g, _ = draw_dgp1(Dgp1Config(n=200), stream=Stream(33).child("d"))
+    cfg = SslsConfig(GbmSpec(n_trees=5), LogisticSpec(max_iter=1),
+                     CrossFitPlan(n_folds=3, seed=2))
+
+    def fit():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            crossfit_nuisance(d, cfg, g)
+        return [(w.category, str(w.message), w.filename) for w in caught]
+
+    serial, forked = _serial_and_forked(monkeypatch, fit, 2)
+    assert len(serial) == 3
+    assert forked == serial
+    assert serial[0][0] is NonConvergenceWarning
+
+
+def test_small_fits_stay_in_this_process(monkeypatch):
+    # the traced calibration runs of perfbench fit 100-tree GBMs on about
+    # 100 training rows; they must stay below the crossover
+    d, g, _ = draw_dgp1(Dgp1Config(n=200), stream=Stream(34).child("d"))
+    monkeypatch.setattr(estimator, "usable_cpus", lambda: 4)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(estimator, "ProcessPoolExecutor", no_pool)
+    crossfit_nuisance(d, SslsConfig(GbmSpec(), GbmSpec(), CrossFitPlan(seed=0)), g)
+    crossfit_nuisance(d, SslsConfig(OlsSpec(), LogisticSpec(), CrossFitPlan(seed=0)), g)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from ssls.clustering import usable_cpus
 from ssls.data import CrossFitPlan
+from ssls.errors import EmptyGroup, ZeroVarianceGroup
 from ssls.estimator import SslsConfig, crossfit_nuisance, estimate_ssls
 from ssls.rng import Stream
 from ssls.simulation import (
@@ -21,6 +23,7 @@ from ssls.simulation import (
     run_power_study,
     run_calibration_study,
     run_robustness_study,
+    _map_reps,
 )
 
 
@@ -141,6 +144,28 @@ def test_calibration_determinism_and_worker_invariance():
     assert np.array_equal(a.ese, c.ese)
     assert np.array_equal(a.ase, c.ase)
     assert a.coverage == c.coverage
+
+
+@pytest.mark.parametrize("seed, error", [(0, ZeroVarianceGroup), (1, EmptyGroup)])
+def test_an_error_in_a_worker_reaches_the_caller_as_itself(seed, error):
+    # at n = 8 some replicate draws a group with zero plug-in variance
+    # (seed 0) or an empty group (seed 1); the first such replicate names
+    # the error at any worker count
+    kw = dict(cells=[("oracle", 0.0, 0.0)], reps=6, n=8, seed=seed)
+    with pytest.raises(error) as serial:
+        run_calibration_study(**kw)
+    with pytest.raises(error) as pooled:
+        run_calibration_study(**kw, workers=2)
+    assert str(pooled.value) == str(serial.value)
+    assert vars(pooled.value) == vars(serial.value)
+
+
+def _cpus(rep):
+    return usable_cpus()
+
+
+def test_replicate_workers_use_one_cpu():
+    assert _map_reps(_cpus, 4, workers=2) == [1, 1, 1, 1]
 
 
 def test_power_study_size_and_monotone_smoke():
