@@ -49,12 +49,6 @@ from .learners import (
     fit_regression,
 )
 from .rng import Stream
-from .transformed_ls import (
-    LsEstimate,
-    TransformedSample,
-    linear_solve_spd,
-    solve_transformed_ls,
-)
 
 __version__ = "0.1.0"
 
@@ -73,7 +67,6 @@ __all__ = [
     "KMeansSpec",
     "KnownPropensity",
     "LogisticSpec",
-    "LsEstimate",
     "NuisanceFit",
     "OlsSpec",
     "OracleSpec",
@@ -81,7 +74,6 @@ __all__ = [
     "RidgeSpec",
     "SslsConfig",
     "Stream",
-    "TransformedSample",
     "chisq_cdf",
     "chisq_quantile",
     "crossfit_nuisance",
@@ -93,7 +85,6 @@ __all__ = [
     "flag_regions",
     "gate_grouping",
     "glh_test",
-    "linear_solve_spd",
     "load_csv",
     "make_crossfit_plan",
     "maxt_critical",
@@ -103,6 +94,5 @@ __all__ = [
     "repeated_ssls",
     "residual_series",
     "simultaneous_cis",
-    "solve_transformed_ls",
     "validate_dataset",
 ]

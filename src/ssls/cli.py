@@ -167,8 +167,10 @@ def _smoothed_residuals(dataset, effects, args) -> tuple[np.ndarray, float, dict
 
 def _load_contrast(path: str, n_groups: int) -> Contrast:
     """The --contrast file: rows of K with a trailing m0 column. A cell that
-    does not parse or is not finite is named by its row and column."""
-    rows = [row for row in csv_rows(path) if row]
+    does not parse or is not finite is named by its row and column, and the
+    file line the row starts on."""
+    numbered = [record for record in csv_rows(path) if record[1]]
+    lines, rows = [line for line, _ in numbered], [row for _, row in numbered]
     if not rows or any(len(row) != n_groups + 1 for row in rows):
         raise DomainError(
             f"contrast file must have {n_groups} K columns plus a trailing m0 column"
@@ -180,10 +182,11 @@ def _load_contrast(path: str, n_groups: int) -> Contrast:
                 mat[i, j] = float(raw)
             except ValueError:
                 raise SslsError(f"{path}: cannot parse '{raw.strip()}' at row "
-                                f"{i + 1}, column {j + 1}") from None
+                                f"{i + 1}, column {j + 1} (line {lines[i]})") from None
     if not np.isfinite(mat).all():
         i, j = np.argwhere(~np.isfinite(mat))[0]
-        raise SslsError(f"{path}: non-finite value at row {i + 1}, column {j + 1}")
+        raise SslsError(f"{path}: non-finite value at row {i + 1}, column {j + 1} "
+                        f"(line {lines[i]})")
     return Contrast(mat[:, :-1], mat[:, -1])
 
 

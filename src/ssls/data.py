@@ -266,14 +266,17 @@ def _no_field_limit():
         csv.field_size_limit(old)
 
 
-def csv_rows(path: str) -> Iterator[list[str]]:
-    """csv.reader rows of path, with no limit on a field's length; a
-    tokenizer or decoding error is raised as an SslsError naming the file and
-    line."""
+def csv_rows(path: str) -> Iterator[tuple[int, list[str]]]:
+    """(line, row) for each csv.reader row of path, where line is the file
+    line the row starts on, with no limit on a field's length; a tokenizer or
+    decoding error is raised as an SslsError naming the file and line."""
     with open(path, newline="") as fh, _no_field_limit():
         reader = csv.reader(fh)
+        start = 1
         try:
-            yield from reader
+            for row in reader:
+                yield start, row
+                start = reader.line_num + 1
         except csv.Error as err:
             raise SslsError(f"{path}: line {reader.line_num}: {err}") from None
         except UnicodeDecodeError:
@@ -335,22 +338,23 @@ def load_csv(
 ) -> tuple[Dataset, Optional[Grouping], dict, Optional[np.ndarray]]:
     """Read a headed CSV into a Dataset (+ Grouping when a group column is bound).
 
-    Missing cells and unparseable numbers are hard errors naming the row and
-    column. The group column may hold arbitrary categorical values; they are
-    relabeled densely and the mapping is returned for the run report. The
-    last value is the propensity column when one is bound, else None.
+    Missing cells and unparseable numbers are hard errors naming the row, the
+    column and the file line the row starts on. The group column may hold
+    arbitrary categorical values; they are relabeled densely and the mapping
+    is returned for the run report. The last value is the propensity column
+    when one is bound, else None.
 
     numpy's C reader parses the bound columns. When it fails or finds a bad
     cell, the csv-module path reads the file again: it builds every error
     message and parses what only float() accepts, such as `1_000`.
     """
     records = csv_rows(path)
-    header = next(records, None)
+    first = next(records, None)
     records.close()
-    if header is None:
+    if first is None:
         raise SslsError(f"{path}: empty file, header row required")
 
-    header = [h.strip() for h in header]
+    header = [h.strip() for h in first[1]]
     col_index = {name: i for i, name in enumerate(header)}
     needed = [outcome, treatment, *covariates]
     if group is not None:
@@ -367,20 +371,25 @@ def load_csv(
     slot = {name: k for k, name in enumerate(floats)}
     bulk = _bulk_columns(path, [col_index[name] for name in floats],
                          None if group is None else col_index[group])
+    lines: list[int] = []  # the file line each of rows starts on
     rows: list[list[str]] = []
     if bulk is None:
         records = csv_rows(path)
         next(records)  # the header
-        rows = [row for row in records if row]
+        numbered = [record for record in records if record[1]]
+        lines, rows = [line for line, _ in numbered], [row for _, row in numbered]
         if not rows:
             raise SslsError(f"{path}: no data rows")
     n = len(rows)
+
+    def at(row_i: int, name: str) -> str:
+        return f"at row {row_i + 2}, column '{name}' (line {lines[row_i]})"
 
     def cell(row_i: int, name: str) -> str:
         row = rows[row_i]
         j = col_index[name]
         if j >= len(row) or row[j].strip() == "":
-            raise SslsError(f"{path}: missing value at row {row_i + 2}, column '{name}'")
+            raise SslsError(f"{path}: missing value {at(row_i, name)}")
         return row[j].strip()
 
     def numeric(row_i: int, name: str) -> float:
@@ -388,13 +397,9 @@ def load_csv(
         try:
             v = float(raw)
         except ValueError:
-            raise SslsError(
-                f"{path}: cannot parse '{raw}' at row {row_i + 2}, column '{name}'"
-            ) from None
+            raise SslsError(f"{path}: cannot parse '{raw}' {at(row_i, name)}") from None
         if not math.isfinite(v):
-            raise SslsError(
-                f"{path}: non-finite value at row {row_i + 2}, column '{name}'"
-            )
+            raise SslsError(f"{path}: non-finite value {at(row_i, name)}")
         return v
 
     def column(name: str) -> np.ndarray:

@@ -3,8 +3,8 @@
 The pipeline: fit the outcome mean and the propensity on each fold's
 complement, evaluate them out-of-fold, orthogonalize (y - m_hat against
 a - e_hat), and run groupwise least squares on the indicator design. The
-closed form below is numerically identical to the generic engine in
-``transformed_ls`` applied to v = (a - e_hat) * group indicators.
+closed form below is numerically identical to generic least squares with a
+sandwich covariance applied to v = (a - e_hat) * group indicators.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .learners import (
     fit_regression,
 )
 from .rng import Stream
-from .transformed_ls import TransformedSample
 
 # Below this many tree-rows (trees grown x training rows) in a fold's
 # heaviest learner, a forked process costs more than it saves, and the folds
@@ -274,14 +273,6 @@ def estimate_ssls(d: Dataset, g: Grouping, nf: NuisanceFit) -> GroupEffects:
         residuals=residuals,
         denominators=denominators,
     )
-
-
-def transformed_sample_from_nuisance(
-    d: Dataset, g: Grouping, nf: NuisanceFit
-) -> TransformedSample:
-    """Robinson-transformed variables for the generic LS engine."""
-    v_hat = (d.a - nf.e_hat)[:, None] * g.indicator()
-    return TransformedSample(z_hat=d.y - nf.m_hat, v_hat=v_hat)
 
 
 def single_run(

@@ -1,18 +1,17 @@
-"""Least squares on cross-fitted transformed variables, with sandwich variance.
+"""The generic transformed-variable least-squares engine, kept as the
+oracle the groupwise closed form is checked against (criterion 06).
 
-This is the generic engine behind the groupwise estimator: given an
-out-of-fold transformed outcome z_hat and transformed regressors v_hat, it
-solves the normal equations and forms the heteroskedasticity-robust plug-in
-covariance gram^-1 (mean of resid^2 v v^T) gram^-1.
+Given an out-of-fold transformed outcome z_hat and transformed regressors
+v_hat, it solves the normal equations and forms the heteroskedasticity-robust
+plug-in covariance gram^-1 (mean of resid^2 v v^T) gram^-1.
 """
-
-from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSPD, SingularGram
+from ssls.errors import NotSPD, SingularGram
+from ssls.learners import linear_solve_spd
 
 
 @dataclass(frozen=True)
@@ -41,24 +40,6 @@ class LsEstimate:
     sigma_hat: np.ndarray
     gram: np.ndarray
     residuals: np.ndarray
-
-
-def linear_solve_spd(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve m x = b for symmetric positive definite m; NotSPD unless m is
-    symmetric and its Cholesky factorisation exists."""
-    m = np.asarray(m, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSPD(f"expected a square matrix, got shape {m.shape}")
-    scale = np.abs(m).max()
-    if scale > 0 and np.abs(m - m.T).max() > 1e-8 * scale:
-        raise NotSPD("matrix is not symmetric")
-    m = 0.5 * (m + m.T)
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise NotSPD("matrix is not positive definite") from None
-    return np.linalg.solve(m, b)
 
 
 def solve_transformed_ls(t: TransformedSample) -> LsEstimate:
@@ -92,3 +73,9 @@ def solve_transformed_ls(t: TransformedSample) -> LsEstimate:
     sigma = linear_solve_spd(solve_gram, half.T).T
     sigma = 0.5 * (sigma + sigma.T)
     return LsEstimate(beta_hat=beta, sigma_hat=sigma, gram=gram, residuals=residuals)
+
+
+def transformed_sample_from_nuisance(d, g, nf) -> TransformedSample:
+    """Robinson-transformed variables for the generic LS engine."""
+    v_hat = (d.a - nf.e_hat)[:, None] * g.indicator()
+    return TransformedSample(z_hat=d.y - nf.m_hat, v_hat=v_hat)

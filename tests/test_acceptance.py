@@ -17,7 +17,6 @@ from ssls.estimator import (
     SslsConfig,
     estimate_dssls,
     estimate_ssls,
-    transformed_sample_from_nuisance,
 )
 from ssls.inference import (
     Contrast,
@@ -35,7 +34,7 @@ from ssls.simulation import (
     run_calibration_study,
     run_robustness_study,
 )
-from ssls.transformed_ls import solve_transformed_ls
+from ls_oracle import solve_transformed_ls, transformed_sample_from_nuisance
 from ssls.data import GroupEffects
 
 

@@ -676,6 +676,7 @@ def test_csv_not_utf8_exit_2(toy_csv, tmp_path, capsys, copies):
     ("1,inf\n", "non-finite value at row 1, column 2"),
     ("nan,0\n", "non-finite value at row 1, column 1"),
     ("1,0\n\n1,x\n", "cannot parse 'x' at row 2, column 2"),
+    ("\n\n1,0\n1,x\n", "cannot parse 'x' at row 2, column 2 (line 4)"),
     ("1,0\n1\n", "contrast file must have 1 K columns plus a trailing m0 column"),
 ])
 def test_contrast_file_bad_cell_exit_2(toy_csv, tmp_path, capsys, text, message):

@@ -313,6 +313,15 @@ def test_load_csv_missing_cell(tmp_path):
     assert "x1" in str(err.value) and "row 2" in str(err.value)
 
 
+def test_load_csv_bad_cell_names_the_file_line(tmp_path):
+    # blank lines are not rows, but the file line counts them
+    path = tmp_path / "bad.csv"
+    path.write_text("y,a,x1\n\n\n1.0,1,abc\n")
+    with pytest.raises(SslsError) as err:
+        load_csv(str(path), outcome="y", treatment="a", covariates=["x1"])
+    assert str(err.value) == f"{path}: cannot parse 'abc' at row 2, column 'x1' (line 4)"
+
+
 def test_load_csv_missing_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("y,x1\n1.0,0.5\n")
@@ -344,7 +353,13 @@ def _per_cell_load_csv(path, outcome, treatment, covariates, group=None,
             header = next(reader)
         except StopIteration:
             raise SslsError(f"{path}: empty file, header row required") from None
-        rows = [row for row in reader if row]
+        rows, lines = [], []  # lines: the file line each row starts on
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(start)
+            start = reader.line_num + 1
 
     header = [h.strip() for h in header]
     col_index = {name: i for i, name in enumerate(header)}
@@ -361,7 +376,8 @@ def _per_cell_load_csv(path, outcome, treatment, covariates, group=None,
         row = rows[row_i]
         j = col_index[name]
         if j >= len(row) or row[j].strip() == "":
-            raise SslsError(f"{path}: missing value at row {row_i + 2}, column '{name}'")
+            raise SslsError(f"{path}: missing value at row {row_i + 2}, "
+                            f"column '{name}' (line {lines[row_i]})")
         return row[j].strip()
 
     def numeric(row_i, name):
@@ -369,13 +385,11 @@ def _per_cell_load_csv(path, outcome, treatment, covariates, group=None,
         try:
             v = float(raw)
         except ValueError:
-            raise SslsError(
-                f"{path}: cannot parse '{raw}' at row {row_i + 2}, column '{name}'"
-            ) from None
+            raise SslsError(f"{path}: cannot parse '{raw}' at row {row_i + 2}, "
+                            f"column '{name}' (line {lines[row_i]})") from None
         if not math.isfinite(v):
-            raise SslsError(
-                f"{path}: non-finite value at row {row_i + 2}, column '{name}'"
-            )
+            raise SslsError(f"{path}: non-finite value at row {row_i + 2}, "
+                            f"column '{name}' (line {lines[row_i]})")
         return v
 
     n = len(rows)

@@ -29,7 +29,6 @@ from ssls.estimator import (
     estimate_dssls,
     estimate_ssls,
     repeated_ssls,
-    transformed_sample_from_nuisance,
 )
 from ssls.learners import (
     CartSpec,
@@ -42,7 +41,7 @@ from ssls.learners import (
 from ssls.estimator import NuisanceFit
 from ssls.rng import Stream
 from ssls.simulation import BlobConfig, Dgp1Config, draw_blobs, draw_dgp1
-from ssls.transformed_ls import solve_transformed_ls
+from ls_oracle import solve_transformed_ls, transformed_sample_from_nuisance
 
 
 def oracle_cfg(truth, seed=0, **plan_kw):

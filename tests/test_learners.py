@@ -489,12 +489,58 @@ def _oracle_designs():
         target = x[:, 0] * x[:, 2] + x[:, 3] + s.normal(400)
         yield f"random-{seed}", x, target
         yield f"random-{seed}-binary", x, (target > 0.5).astype(float)
+    # two-valued and constant columns, which the search treats apart
+    s = Stream(910)
+    x = s.normal(400 * 5).reshape(400, 5)
+    x[:, 0] = (x[:, 0] > 0.2).astype(float)
+    x[:, 2] = np.where(x[:, 2] > -0.4, 3.0, -1.5)
+    x[:, 3] = 2.5
+    x[:, 4] = np.where(np.arange(400) % 50 == 7, 7.0, 2.0)  # lower block of 8 rows
+    target = 2.0 * x[:, 0] - x[:, 2] + x[:, 1] ** 2 + s.normal(400)
+    yield "two-valued-0", x, target
+    yield "two-valued-0-binary", x, (target > 1.0).astype(float)
+    yield "small-lower-block", x[:, [1, 4]], (x[:, 4] == 2.0) + x[:, 1] + s.normal(400)
+    yield "all-two-valued", x[:, [0, 3, 2]], target
+    yield "constant-0", x[:, [3, 1, 2]], target
+    # integer targets: the two-valued column and the continuous column that
+    # cuts between its blocks tie exactly on gain, in either feature order
+    b = x[:, 0]
+    c = b + 0.1 * np.round(s.normal(400) > 0.0)
+    target = 3.0 * b + np.round(s.normal(400))
+    yield "tie-continuous-first", np.column_stack([c, b, x[:, 1]]), target
+    yield "tie-two-valued-first", np.column_stack([b, c, x[:, 1]]), target
+    # squares of the targets overflow, so every gain is NaN
+    yield "overflow", x, 1e155 * target
+    yield "overflow-two-valued", x[:, [0, 3, 2]], 1e155 * target
 
 
 @pytest.mark.parametrize("max_depth", [1, 2, 3])
 @pytest.mark.parametrize("min_leaf", [1, 5, 10])
-def test_tree_grower_bit_identical_to_oracle(max_depth, min_leaf):
+def test_tree_grower_bit_identical_to_oracle(max_depth, min_leaf, monkeypatch):
+    # once as fitted, where designs under _MIN_BLOCK_ROWS scan their
+    # two-valued columns, and once with every two-valued column on its own cut
     held_out = Stream(11).normal(60 * 5).reshape(60, 5)
+    for block_rows in (learners._MIN_BLOCK_ROWS, 0):
+        monkeypatch.setattr(learners, "_MIN_BLOCK_ROWS", block_rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _compare_with_oracle(max_depth, min_leaf, held_out)
+
+
+def test_presort_classes_features(monkeypatch):
+    # continuous first, then two-valued, then constant, each by feature index
+    x = np.column_stack([np.arange(8.0) % 3, [2.0, 5.0] * 4, np.ones(8),
+                         [1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
+    pre = learners._presort(x, 1)
+    assert (pre.order.tolist(), pre.n_cont, pre.low) == ([0, 1, 3, 2], 3, [])
+    monkeypatch.setattr(learners, "_MIN_BLOCK_ROWS", 8)
+    pre = learners._presort(x, 1)
+    assert (pre.order.tolist(), pre.n_cont, pre.low, pre.pos0) == ([0, 1, 3, 2], 1, [4, 5], 0)
+    assert pre.ids[1].tolist() == [0, 2, 4, 6, 1, 3, 5, 7]
+    pre = learners._presort(x[:, ::-1], 1)
+    assert (pre.order.tolist(), pre.pos0) == ([3, 0, 2, 1], 1)
+
+
+def _compare_with_oracle(max_depth, min_leaf, held_out):
     for name, x, target in _oracle_designs():
         x_new = held_out[:, :x.shape[1]]
         cart = fit_regression(CartSpec(max_depth, min_leaf), x, target)
@@ -539,3 +585,30 @@ def test_gbm_fitted_values_come_from_growth(monkeypatch):
         fitted = fitted + spec.shrinkage * tree.predict(d.x)
     assert model.train_mse_path[-1] == float(np.mean((d.y - fitted) ** 2))
     assert np.array_equal(model.predict(d.x), fitted)
+
+
+def test_columnwise_predict_equals_the_row_subset_walk(monkeypatch):
+    # shallow trees predict by comparing whole columns; the row-subset walk
+    # that larger trees keep must give the same bits, also on rows that sit
+    # exactly on a threshold and on NaN covariates
+    s = Stream(13)
+    x = s.normal(600 * 3).reshape(600, 3)
+    x[:, 2] = np.round(x[:, 2])
+    y = x[:, 0] * x[:, 1] + x[:, 2] + s.normal(600)
+    trees = [fit_regression(CartSpec(depth, 2), x, y) for depth in range(1, 9)]
+    trees.append(fit_regression(CartSpec(3, 2), x, np.full(600, 1.5)))  # one leaf
+    assert trees[-1].feature.size == 1
+    assert trees[-2].feature.size > learners._COLUMNWISE_MAX_NODES
+    held_out = s.normal(200 * 3).reshape(200, 3)
+    for tree in trees:
+        on_cut = held_out.copy()
+        for node in np.flatnonzero(tree.feature >= 0):
+            on_cut[node % 200, tree.feature[node]] = tree.threshold[node]
+        on_cut[:5, 0] = np.nan
+        for rows in (on_cut, on_cut[:1], on_cut[:0]):
+            monkeypatch.setattr(learners, "_COLUMNWISE_MAX_NODES", 0)
+            walk = tree.predict(rows)
+            monkeypatch.setattr(learners, "_COLUMNWISE_MAX_NODES", 10**9)
+            columns = tree.predict(rows)
+            assert columns.dtype == walk.dtype and columns.shape == (rows.shape[0],)
+            assert np.array_equal(columns, walk), tree.feature.size

@@ -5,11 +5,8 @@ import pytest
 
 from ssls.errors import NotSPD, SingularGram
 from ssls.rng import Stream
-from ssls.transformed_ls import (
-    TransformedSample,
-    linear_solve_spd,
-    solve_transformed_ls,
-)
+from ssls.learners import linear_solve_spd
+from ls_oracle import TransformedSample, solve_transformed_ls
 
 
 def make_sample(z, v):
