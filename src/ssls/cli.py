@@ -446,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=100)
     p_sim.add_argument("--n", type=int, default=1000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=int,
+                       help="processes that run replicates (default: the usable CPUs)")
     p_sim.add_argument("--learners", default="oracle",
                        help="comma-separated learners for calibration")
     p_sim.add_argument("--sigma-a", default="0,1",

@@ -9,8 +9,6 @@ size or with only one treatment arm.
 from __future__ import annotations
 
 import concurrent.futures
-import multiprocessing
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,6 +18,7 @@ from .data import Dataset, Grouping, check_covariates_finite
 from .errors import (ClusteringDegenerate, DomainError, GroupTooSmall, OneArmOnly,
                      TooFewSamples)
 from .inference import power_min_n
+from .parallel import usable_cpus
 from .rng import Stream
 
 DEFAULT_Z_TILDE = 0.5
@@ -177,19 +176,6 @@ def _lloyd(z: np.ndarray, zt: np.ndarray, centroids: np.ndarray, max_iter: int):
             return centroids, labels, path, True
         prev = inertia
     return centroids, labels, path, False
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on; where the OS cannot say (macOS, Windows),
-    the machine's count. A process that a multiprocessing pool started, such
-    as a Monte-Carlo replicate or a cross-fitting fold, has one CPU, so pools
-    never nest."""
-    if multiprocessing.parent_process() is not None:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def fit_kmeans(x: np.ndarray, spec: KMeansSpec) -> FittedClusterer:

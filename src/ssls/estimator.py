@@ -9,16 +9,12 @@ sandwich covariance applied to v = (a - e_hat) * group indicators.
 
 from __future__ import annotations
 
-import multiprocessing
-import sys
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .clustering import FittedClusterer, KMeansSpec, fit_kmeans, gate_grouping, usable_cpus
+from .clustering import FittedClusterer, KMeansSpec, fit_kmeans, gate_grouping
 from .data import (
     CrossFitPlan,
     Dataset,
@@ -48,6 +44,7 @@ from .learners import (
     fit_propensity,
     fit_regression,
 )
+from .parallel import fork_join, usable_cpus
 from .rng import Stream
 
 # Below this many tree-rows (trees grown x training rows) in a fold's
@@ -123,49 +120,6 @@ def _tree_count(spec) -> int:
     return spec.n_trees if isinstance(spec, GbmSpec) else int(isinstance(spec, CartSpec))
 
 
-def _recorded(job, k: int) -> tuple:
-    """job(k) as (result, warnings, error): every warning it raised as
-    (category, message, filename, lineno), and the exception that stopped
-    it or None. All three pickle."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            result, error = job(k), None
-        except Exception as err:
-            result, error = None, err
-    return result, [(w.category, str(w.message), w.filename, w.lineno)
-                    for w in caught], error
-
-
-_installed_job = None  # the job of the fork-join that started this process
-
-
-def _install(job) -> None:
-    global _installed_job
-    _installed_job = job
-
-
-def _run_installed(k: int) -> tuple:
-    return _recorded(_installed_job, k)
-
-
-def _fork_join(job, n_jobs: int, children: int) -> list:
-    """_recorded(job, k) in order of k. Jobs 0..n_jobs-2 go to `children`
-    forked processes, which inherit job, so only k and the outcomes are
-    pickled, while this process runs the last job; with no children it runs
-    them all."""
-    pool = (ProcessPoolExecutor(children, mp_context=multiprocessing.get_context("fork"),
-                                initializer=_install, initargs=(job,))
-            if children else None)
-    try:
-        futures = [pool.submit(_run_installed, k) for k in range(n_jobs - 1)] if pool else []
-        here = [_recorded(job, k) for k in range(len(futures), n_jobs)]
-        return [future.result() for future in futures] + here
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
-
-
 def crossfit_nuisance(
     d: Dataset,
     cfg: SslsConfig,
@@ -182,13 +136,10 @@ def crossfit_nuisance(
     Oracle propensities skip the one-arm check but are still evaluated fold
     by fold.
 
-    The folds are fitted concurrently on Linux: up to usable_cpus() - 1
-    forked processes take the first folds while this process fits the
-    last. A fit whose heaviest learner grows fewer than _MIN_FORKED_WORK
-    tree-rows, and every fit on another OS, runs its folds in this process.
-    Each fold's predictions, warnings (re-raised here in fold order) and
-    first error are those of fitting the folds one after another, so the
-    result does not depend on the CPU count.
+    The folds are jobs of parallel.fork_join on usable_cpus() workers, or on
+    one when the heaviest learner grows fewer than _MIN_FORKED_WORK
+    tree-rows. Their predictions, warnings and first error are those of
+    fitting the folds one after another, whatever the CPU count.
     """
     n = d.n
     n_folds = cfg.plan.n_folds
@@ -223,17 +174,8 @@ def crossfit_nuisance(
 
     train_rows = n - np.bincount(fold_of, minlength=n_folds).min()
     work = max(_tree_count(cfg.regression_spec), _tree_count(spec_e)) * train_rows
-    children = (min(usable_cpus(), n_folds) - 1
-                if sys.platform == "linux" and work >= _MIN_FORKED_WORK else 0)
-    # the registry warnings.warn would use here, so that the default filter
-    # still shows a repeated warning once
-    registry = globals().setdefault("__warningregistry__", {})
-    for k, (predictions, caught, error) in enumerate(_fork_join(fold, n_folds, children)):
-        for category, message, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
-        if error is not None:
-            raise error
-        m_k, e_k = predictions
+    workers = usable_cpus() if work >= _MIN_FORKED_WORK else 1
+    for k, (m_k, e_k) in enumerate(fork_join(fold, n_folds, workers)):
         m_hat[fold_of == k] = m_k
         if e_k is not None:
             e_hat[fold_of == k] = e_k

@@ -382,7 +382,9 @@ def _best_split_sorted(pre: _Presort, y: np.ndarray, ids: np.ndarray,
     if best is None or not best[0] > 0.0:
         return None
     gain, j, r, k = best
-    return int(j), 0.5 * (pre.xt[j, ids[r, k - 1]] + pre.xt[j, ids[r, k]]), gain
+    a, b = float(pre.xt[j, ids[r, k - 1]]), float(pre.xt[j, ids[r, k]])
+    mid = 0.5 * (a + b)  # a + b overflows only where a and b share a sign
+    return int(j), mid if np.isfinite(mid) else a + 0.5 * (b - a), gain
 
 
 def _grow_tree(y: np.ndarray, max_depth: int, min_leaf: int,

@@ -2,16 +2,16 @@
 
 Every study derives one independent stream per repetition from
 (seed, study, cell, rep), so results are identical no matter how reps are
-scheduled, and parallel workers change nothing but wall-clock time. Each
-replicate runs estimator.single_run, the pipelines' own split-and-estimate
-step. The diagnostic study analyzes each draw under both the correct and the
-misspecified grouping, which share one cross-fit of the nuisances.
+scheduled: they are jobs of parallel.fork_join on `workers` processes, by
+default the usable CPUs. Each replicate runs estimator.single_run, the
+pipelines' own split-and-estimate step. The diagnostic study analyzes each
+draw under both the correct and the misspecified grouping, which share one
+cross-fit of the nuisances.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence
@@ -24,6 +24,7 @@ from .errors import DomainError
 from .estimator import SslsConfig, estimate_ssls, single_run
 from .inference import maxt_critical, simultaneous_cis
 from .learners import KnownPropensity, OlsSpec, learner_spec
+from .parallel import fork_join
 from .rng import Stream
 
 
@@ -193,17 +194,6 @@ def draw_blobs(cfg: BlobConfig, stream: Optional[Stream] = None):
 # Study plumbing
 
 
-def _map_reps(fn, reps: int, workers: int) -> list:
-    """[fn(rep) for rep in range(reps)], across worker processes when
-    workers > 1; fn is a partial of a module-level function, so it pickles.
-    The first replicate to fail, in rep order, raises its error here."""
-    if workers <= 1:
-        return [fn(rep) for rep in range(reps)]
-    chunk = max(1, reps // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(reps), chunksize=chunk))
-
-
 # Every replicate cross-fits on the plan's default two unstratified folds,
 # which single_run draws from the replicate's own "plan" stream.
 _REP_PLAN = CrossFitPlan()
@@ -257,13 +247,9 @@ def run_calibration_study(
     n: int = 1000,
     seed: int = 0,
     alpha: float = 0.05,
-    workers: int = 1,
+    workers: Optional[int] = None,
 ) -> list[StudyResult]:
-    """Monte-Carlo bias/ESE/ASE/coverage over (learner, sigma_a, sigma_y) cells.
-
-    workers counts the processes that run replicates. With more than one,
-    each replicate has one CPU, so its cross-fitting folds run in-process.
-    """
+    """Monte-Carlo bias/ESE/ASE/coverage over (learner, sigma_a, sigma_y) cells."""
     if reps < 2:
         raise DomainError("reps must be >= 2 (the ESE needs a spread)")
     results = []
@@ -271,7 +257,7 @@ def run_calibration_study(
         t0 = time.perf_counter()
         rep_fn = partial(_calibration_rep, seed, cell_index, learner, sigma_a,
                          sigma_y, n, alpha)
-        rows = _map_reps(rep_fn, reps, workers)
+        rows = fork_join(rep_fn, reps, workers)
         tau_hats = np.stack([r[0] for r in rows])
         ases = np.stack([r[1] for r in rows])
         covers = np.asarray([r[2] for r in rows])
@@ -327,19 +313,17 @@ def run_power_study(
     seed: int = 0,
     alpha: float = 0.05,
     learner: str = "oracle",
-    workers: int = 1,
+    workers: Optional[int] = None,
 ) -> list[PowerPoint]:
     """Rejection rate of the maxT test against alternatives at each L2
-    distance from tau0 (random sphere directions); distance 0 is the size.
-
-    workers counts the processes that run replicates. With more than one,
-    each replicate has one CPU, so its cross-fitting folds run in-process.
-    """
+    distance from tau0 (random sphere directions); distance 0 is the size."""
+    if reps < 1:
+        raise DomainError("reps must be >= 1 (a rejection rate needs a replicate)")
     points = []
     for point_index, distance in enumerate(distances):
         rep_fn = partial(_power_rep, seed, point_index, float(distance), tuple(tau0),
                          n, alpha, learner)
-        rejections = _map_reps(rep_fn, reps, workers)
+        rejections = fork_join(rep_fn, reps, workers)
         points.append(
             PowerPoint(
                 distance=float(distance),
@@ -389,20 +373,18 @@ def run_robustness_study(
     delta_scale: float = 1.0,
     seed: int = 0,
     constant_propensity: bool = True,
-    workers: int = 1,
+    workers: Optional[int] = None,
 ) -> list[RobustnessRow]:
     """Bias of the groupwise estimator when the within-group effect varies
     (outcome gains a treated-arm term with zero group mean). With the
     propensity constant inside each group the estimator stays centered on
-    the group average; the non-constant arm is the negative control.
-
-    workers counts the processes that run replicates. With more than one,
-    each replicate has one CPU, so its cross-fitting folds run in-process.
-    """
+    the group average; the non-constant arm is the negative control."""
+    if reps < 2:
+        raise DomainError("reps must be >= 2 (the Monte-Carlo SE needs a spread)")
     rows = []
     for n in n_grid:
         rep_fn = partial(_robustness_rep, seed, n, constant_propensity, delta_scale)
-        errors = np.stack(_map_reps(rep_fn, reps, workers))
+        errors = np.stack(fork_join(rep_fn, reps, workers))
         rows.append(
             RobustnessRow(
                 n=n,
@@ -488,16 +470,14 @@ def run_diagnostic_study(
     seed: int = 0,
     learner: str = "gbm",
     sd_multiplier: float = 8.0,
-    workers: int = 1,
+    workers: Optional[int] = None,
 ) -> DiagnosticStudyResult:
     """Across reps: how often the wrong grouping is flagged in its
-    misspecified band, and how often the right grouping stays clean.
-
-    workers counts the processes that run replicates. With more than one,
-    each replicate has one CPU, so its cross-fitting folds run in-process.
-    """
+    misspecified band, and how often the right grouping stays clean."""
+    if reps < 1:
+        raise DomainError("reps must be >= 1 (a rate needs a replicate)")
     rep_fn = partial(_diag_rep, seed, n, bandwidth, grid_size, learner, sd_multiplier)
-    rows = _map_reps(rep_fn, reps, workers)
+    rows = fork_join(rep_fn, reps, workers)
     return DiagnosticStudyResult(
         misspecified_overlap_rate=float(np.mean([r[0] for r in rows])),
         correct_small_flag_rate=float(np.mean([r[1] for r in rows])),

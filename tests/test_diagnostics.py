@@ -123,7 +123,7 @@ def test_each_diagnostic_draw_is_cross_fitted_once(monkeypatch, tmp_path):
     runs = run_diagnostic_once(n=2000, seed=5, learner="ols-logistic")
     assert list(runs) == ["correct", "misspecified"]
     assert len(calls) == 1
-    run_diagnostic_study(reps=2, n=2000, learner="ols-logistic")
+    run_diagnostic_study(reps=2, n=2000, learner="ols-logistic", workers=1)
     assert len(calls) == 3
     argv = ["simulate", "--study", "diagnostic", "--n", "2000", "--out-dir", str(tmp_path)]
     assert main(argv) == 0

@@ -86,6 +86,18 @@ def test_cart_single_split():
     assert model.threshold[0] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(1e308, 1.5e308), (-1.5e308, -1e308)])
+def test_cart_split_between_huge_values_has_a_finite_threshold(lo, hi):
+    # lo + hi overflows; the threshold must still fall between them
+    x = np.array([[lo]] * 10 + [[hi]] * 10)
+    y = (x[:, 0] == hi).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit_regression(CartSpec(max_depth=1, min_leaf=2), x, y)
+        assert np.array_equal(model.predict(x), y)
+    assert lo < model.threshold[0] < hi
+
+
 def test_cart_leaf_means():
     s = Stream(3)
     x = s.normal(200 * 2).reshape(200, 2)

@@ -1,12 +1,15 @@
 """Data-generating processes and study harness checks."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from ssls.clustering import usable_cpus
+from ssls.cli import main
 from ssls.data import CrossFitPlan
-from ssls.errors import EmptyGroup, ZeroVarianceGroup
+from ssls.errors import DomainError, EmptyGroup, ZeroVarianceGroup
 from ssls.estimator import SslsConfig, crossfit_nuisance, estimate_ssls
+from ssls.parallel import fork_join, usable_cpus
 from ssls.rng import Stream
 from ssls.simulation import (
     BlobConfig,
@@ -22,8 +25,8 @@ from ssls.simulation import (
     logistic,
     run_power_study,
     run_calibration_study,
+    run_diagnostic_study,
     run_robustness_study,
-    _map_reps,
 )
 
 
@@ -134,16 +137,17 @@ def test_calibration_smoke_and_fields():
 
 def test_calibration_determinism_and_worker_invariance():
     kw = dict(cells=[("oracle", 0.0, 0.0)], reps=6, n=200, seed=5)
-    a = run_calibration_study(**kw)[0]
-    b = run_calibration_study(**kw)[0]
+    a = run_calibration_study(**kw, workers=1)[0]
+    b = run_calibration_study(**kw, workers=1)[0]
     assert np.array_equal(a.bias, b.bias)
     assert np.array_equal(a.ese, b.ese)
     assert a.coverage == b.coverage
-    c = run_calibration_study(**kw, workers=2)[0]
-    assert np.array_equal(a.bias, c.bias)
-    assert np.array_equal(a.ese, c.ese)
-    assert np.array_equal(a.ase, c.ase)
-    assert a.coverage == c.coverage
+    for workers in (2, 4):
+        c = run_calibration_study(**kw, workers=workers)[0]
+        assert np.array_equal(a.bias, c.bias)
+        assert np.array_equal(a.ese, c.ese)
+        assert np.array_equal(a.ase, c.ase)
+        assert a.coverage == c.coverage
 
 
 @pytest.mark.parametrize("seed, error", [(0, ZeroVarianceGroup), (1, EmptyGroup)])
@@ -153,19 +157,53 @@ def test_an_error_in_a_worker_reaches_the_caller_as_itself(seed, error):
     # the error at any worker count
     kw = dict(cells=[("oracle", 0.0, 0.0)], reps=6, n=8, seed=seed)
     with pytest.raises(error) as serial:
-        run_calibration_study(**kw)
-    with pytest.raises(error) as pooled:
-        run_calibration_study(**kw, workers=2)
-    assert str(pooled.value) == str(serial.value)
-    assert vars(pooled.value) == vars(serial.value)
+        run_calibration_study(**kw, workers=1)
+    for workers in (2, 4):
+        with pytest.raises(error) as pooled:
+            run_calibration_study(**kw, workers=workers)
+        assert str(pooled.value) == str(serial.value)
+        assert vars(pooled.value) == vars(serial.value)
 
 
 def _cpus(rep):
     return usable_cpus()
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="replicates run in forked processes on Linux only")
 def test_replicate_workers_use_one_cpu():
-    assert _map_reps(_cpus, 4, workers=2) == [1, 1, 1, 1]
+    assert fork_join(_cpus, 4, workers=2) == [1, 1, 1, 1]
+
+
+# Each study rejects a reps count that leaves its statistic undefined (NaN
+# or a failed stack at the parent) and a workers count below one, before
+# any replicate runs; the CLI, where it takes the setting, exits 2.
+@pytest.mark.parametrize("study, kw, argv, message", [
+    (run_calibration_study, dict(cells=[("oracle", 0.0, 0.0)], reps=1),
+     ["--study", "calibration", "--reps", "1"], "reps must be >= 2"),
+    (run_power_study, dict(reps=0), ["--study", "power", "--reps", "0"],
+     "reps must be >= 1"),
+    (run_robustness_study, dict(reps=1), ["--study", "robustness", "--reps", "1"],
+     "reps must be >= 2"),
+    (run_robustness_study, dict(reps=0), ["--study", "robustness", "--reps", "0"],
+     "reps must be >= 2"),
+    (run_diagnostic_study, dict(reps=0), None, "reps must be >= 1"),
+    (run_calibration_study, dict(cells=[("oracle", 0.0, 0.0)], workers=0),
+     ["--study", "calibration", "--workers", "0"], "workers must be >= 1"),
+    (run_power_study, dict(workers=0), ["--study", "power", "--workers", "0"],
+     "workers must be >= 1"),
+    (run_robustness_study, dict(workers=-1), ["--study", "robustness", "--workers", "-1"],
+     "workers must be >= 1"),
+    (run_diagnostic_study, dict(workers=0), None, "workers must be >= 1"),
+])
+def test_studies_reject_undefined_statistics_and_bad_workers(study, kw, argv, message,
+                                                             tmp_path, capsys):
+    with pytest.raises(DomainError, match=message):
+        study(**kw)
+    if argv is not None:
+        assert main(["simulate", *argv, "--out-dir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_power_study_size_and_monotone_smoke():

@@ -10,6 +10,7 @@ refactor which renames or bypasses one of those names fails here first.
 import contextlib
 import importlib.util
 import io
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -62,7 +63,8 @@ def test_traced_calibration_fires_every_required_span():
     tracer = tracing.Tracer()
     with tracer.installed():
         results = tracer.run_op(1, "simulation.run_calibration_study",
-                                run_calibration_study, [("gbm", 0.0, 0.0)], 2, 200)
+                                partial(run_calibration_study, workers=1),
+                                [("gbm", 0.0, 0.0)], 2, 200)
     assert len(results) == 1
     metrics = tracer.op_metrics(1, tracing.REQUIRED["mc"])
     # two replicates of two folds, each with a 100-tree outcome and propensity
