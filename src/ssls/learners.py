@@ -609,8 +609,11 @@ def fit_propensity(spec: PropensityLearnerSpec, x, a) -> FittedModel:
 def learner_spec(name: str, role: str, truth=None):
     """The spec of the learner called name (case-insensitive) in role
     "outcome" or "propensity". "ridge:lam" sets the ridge penalty; "oracle"
-    evaluates truth.outcome_mean or truth.propensity, given a truth only."""
+    evaluates truth.outcome_mean or truth.propensity, given a truth only;
+    "ols-logistic", a Monte-Carlo study's learner, is ols or logistic."""
     name = name.lower()
+    if name == "ols-logistic":
+        name = "ols" if role == "outcome" else "logistic"
     if name == "oracle" and truth is not None:
         return OracleSpec(truth.outcome_mean if role == "outcome" else truth.propensity)
     if name in ("cart", "gbm"):

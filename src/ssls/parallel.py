@@ -35,7 +35,8 @@ def usable_cpus() -> int:
 
 def _recorded(k: int) -> tuple:
     """_job(k) as (result, warnings, error): every warning it raised as
-    (category, message, filename, lineno), and the exception that stopped
+    (category, message, filename, lineno, module), module being the dotted
+    name that warnings.warn gave the filters, and the exception that stopped
     it or None. All three pickle."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -43,8 +44,10 @@ def _recorded(k: int) -> tuple:
             result, error = _job(k), None
         except Exception as err:
             result, error = None, err
-    return result, [(w.category, str(w.message), w.filename, w.lineno)
-                    for w in caught], error
+    modules = caught and {getattr(module, "__file__", None): name
+                          for name, module in list(sys.modules.items())}
+    return result, [(w.category, str(w.message), w.filename, w.lineno,
+                     modules.get(w.filename)) for w in caught], error
 
 
 def fork_join(job: Callable[[int], object], n_jobs: int,
@@ -82,8 +85,8 @@ def fork_join(job: Callable[[int], object], n_jobs: int,
     # still shows a repeated warning once
     registry = globals().setdefault("__warningregistry__", {})
     for _, caught, error in outcomes:
-        for category, message, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+        for category, message, filename, lineno, module in caught:
+            warnings.warn_explicit(message, category, filename, lineno, module, registry)
         if error is not None:
             raise error
     return [result for result, _, _ in outcomes]

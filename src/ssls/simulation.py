@@ -199,18 +199,6 @@ def draw_blobs(cfg: BlobConfig, stream: Optional[Stream] = None):
 _REP_PLAN = CrossFitPlan()
 
 
-def learner_specs(name: str, truth=None):
-    """(outcome spec, propensity spec) of a study learner: oracle, gbm, cart,
-    or ols-logistic (ols outcome, logistic propensity)."""
-    if name not in ("oracle", "gbm", "cart", "ols-logistic"):
-        raise DomainError(f"unknown learner '{name}'")
-    if name == "oracle" and truth is None:
-        raise DomainError("oracle learners need a truth record")
-    outcome, _, propensity = name.partition("-")
-    return (learner_spec(outcome, "outcome", truth),
-            learner_spec(propensity or outcome, "propensity", truth))
-
-
 @dataclass(frozen=True)
 class StudyResult:
     """One calibration-study cell: per-group bias/ESE/ASE and the rate at which
@@ -232,7 +220,8 @@ def _calibration_rep(seed, cell_index, learner, sigma_a, sigma_y, n, alpha, rep)
     stream = Stream(seed).child("calibration").child(cell_index).child(rep)
     cfg1 = Dgp1Config(n=n, sigma_a=sigma_a, sigma_y=sigma_y)
     d, grouping, truth = draw_dgp1(cfg1, stream=stream.child("data"))
-    cfg = SslsConfig(*learner_specs(learner, truth), _REP_PLAN)
+    cfg = SslsConfig(learner_spec(learner, "outcome", truth),
+                     learner_spec(learner, "propensity", truth), _REP_PLAN)
     ge, _ = single_run(d, grouping, cfg, seed=stream.child("plan").key)
     report = simultaneous_cis(ge, alpha=alpha)
     covers = bool(
@@ -299,7 +288,8 @@ def _power_rep(seed, point_index, distance, tau0, n, alpha, learner, rep):
         tau_alt = tau0
     cfg1 = Dgp1Config(n=n, sigma_a=0.0, sigma_y=0.0, tau=tuple(tau_alt))
     d, grouping, truth = draw_dgp1(cfg1, stream=stream.child("data"))
-    cfg = SslsConfig(*learner_specs(learner, truth), _REP_PLAN)
+    cfg = SslsConfig(learner_spec(learner, "outcome", truth),
+                     learner_spec(learner, "propensity", truth), _REP_PLAN)
     ge, _ = single_run(d, grouping, cfg, seed=stream.child("plan").key)
     t_stats = (ge.tau_hat - tau0) / ge.se()
     return bool(np.max(np.abs(t_stats)) > maxt_critical(alpha, len(tau0)))
@@ -424,7 +414,8 @@ def run_diagnostic_once(
     stream = Stream(seed).child("diag-study")
     d, groupings, truth = draw_dgp_diag(DgpDiagConfig(n=n, seed=seed),
                                         stream=stream.child("data"))
-    cfg = SslsConfig(*learner_specs(learner, truth), _REP_PLAN)
+    cfg = SslsConfig(learner_spec(learner, "outcome", truth),
+                     learner_spec(learner, "propensity", truth), _REP_PLAN)
     ge, nf = single_run(d, groupings["correct"], cfg, seed=stream.child("plan").key)
     effects = {"correct": ge,
                "misspecified": estimate_ssls(d, groupings["misspecified"], nf)}

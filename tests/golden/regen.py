@@ -64,19 +64,19 @@ def run(name: str, directory: Path) -> Path:
 
 
 def main() -> None:
-    scratch = HERE / "_regen"
-    shutil.rmtree(scratch, ignore_errors=True)
-    scratch.mkdir()
+    workdir = HERE / "_regen"
+    shutil.rmtree(workdir, ignore_errors=True)
+    workdir.mkdir()
     try:
-        write_input(scratch)
+        write_input(workdir)
         for name in RUNS:
-            out = run(name, scratch)
+            out = run(name, workdir)
             (HERE / name).mkdir(exist_ok=True)
             for file in FILES:
                 shutil.copyfile(out / file, HERE / name / file)
             print(f"wrote {HERE / name}")
     finally:
-        shutil.rmtree(scratch)
+        shutil.rmtree(workdir)
 
 
 if __name__ == "__main__":

@@ -91,6 +91,11 @@ def test_too_few_rows():
         fit_kmeans(np.zeros((1, 2)), KMeansSpec(n_groups=2, seed=1))
 
 
+def test_no_covariate_columns():
+    with pytest.raises(DomainError, match="at least one covariate"):
+        fit_kmeans(np.zeros((5, 0)), KMeansSpec(n_groups=2, seed=1))
+
+
 def test_gate_passes_balanced_blobs():
     x = blobs(100, [(-6.0, 0.0), (6.0, 0.0)], seed=14)
     a = Stream(15).bernoulli(0.5, 200).astype(float)
@@ -175,12 +180,15 @@ def _broadcast_init(zt, k, stream):
     return centroids
 
 
-def _broadcast_lloyd(z, zt, centroids, max_iter):
+def _broadcast_lloyd(z, zt, centroids, max_iter, tol=1e-12, path=()):
+    # path continues a run that stopped at a looser tol, as _lloyd's does
     n, k = z.shape[0], centroids.shape[0]
-    labels = np.zeros(n, dtype=np.int64)
-    path = []
-    prev = np.inf
-    for _ in range(max_iter):
+    labels = np.argmin(_broadcast_d2(z, centroids), axis=1)
+    path = list(path)
+    prev = path[-1] if path else np.inf
+    if len(path) > 1 and path[-1] >= path[-2] - tol * path[-2]:
+        return centroids, labels, path, True
+    for _ in range(len(path), max_iter):
         d2 = _broadcast_d2(z, centroids)
         labels = np.argmin(d2, axis=1)
         dist_own = d2[np.arange(n), labels]
@@ -197,7 +205,7 @@ def _broadcast_lloyd(z, zt, centroids, max_iter):
         labels = np.argmin(d2, axis=1)
         inertia = float(d2[np.arange(n), labels].sum())
         path.append(inertia)
-        if inertia >= prev - 1e-12 * max(prev, 1.0):
+        if inertia >= prev - tol * prev:
             return centroids, labels, path, True
         prev = inertia
     return centroids, labels, path, False
@@ -256,9 +264,9 @@ def test_lloyd_one_distance_pass_per_iteration(monkeypatch):
     calls = []
     counted = clustering._sq_dist
 
-    def counting(z, centroids):
+    def counting(z, centroids, *buffers):
         calls.append(centroids.shape[0])
-        return counted(z, centroids)
+        return counted(z, centroids, *buffers)
 
     monkeypatch.setattr(clustering, "_sq_dist", counting)
     x = _overlapping_blobs(5, seed=43)
@@ -528,10 +536,10 @@ def test_a_failing_restart_reaches_the_caller_and_ends_the_pool(monkeypatch):
     third = clustering._plusplus_init(zt, 3, Stream(87).child("kmeans").child(3))
     lloyd = clustering._lloyd
 
-    def failing(z, zt, centroids, max_iter):
+    def failing(z, zt, centroids, max_iter, *rest):
         if np.array_equal(centroids, third):
             raise Boom("restart 3")
-        return lloyd(z, zt, centroids, max_iter)
+        return lloyd(z, zt, centroids, max_iter, *rest)
 
     monkeypatch.setattr(clustering, "_lloyd", failing)
     monkeypatch.setattr(clustering, "usable_cpus", lambda: 2)
@@ -550,3 +558,118 @@ def test_restarts_that_hit_max_iter_are_flagged():
     capped = fit_kmeans(x, KMeansSpec(n_groups=3, seed=89, n_restarts=4, max_iter=2))
     assert capped.restart_converged == (False,) * 4
     assert len(capped.inertia_path) == 2
+
+
+# Screening: every restart stops at the loose _SCREEN_TOL and only the
+# leaders go on to _TOL. The kept restart must be the one that finishing
+# every restart keeps, which a screen at _TOL itself gives.
+
+def _lloyd_calls(monkeypatch):
+    calls = []
+    lloyd = clustering._lloyd
+
+    def recording(z, zt, centroids, max_iter, tol=clustering._TOL, path=()):
+        result = lloyd(z, zt, centroids, max_iter, tol, path)
+        calls.append((tol, len(result[2]) - len(path)))
+        return result
+
+    monkeypatch.setattr(clustering, "_lloyd", recording)
+    return calls
+
+
+def test_a_continued_lloyd_run_follows_the_strict_run():
+    x, _ = _discover_shaped(3_000, seed=46)
+    z = (x - x.mean(axis=0)) / x.std(axis=0)
+    zt = _t(z)
+    root = Stream(47).child("kmeans")
+    cut = 0
+    for r in range(6):
+        init = clustering._plusplus_init(zt, 4, root.child(r))
+        strict = clustering._lloyd(z, zt, init.copy(), 100)
+        centroids, _, path, _ = clustering._lloyd(z, zt, init.copy(), 100, 1e-2)
+        cut += len(path) < len(strict[2])
+        got = clustering._lloyd(z, zt, centroids, 100, clustering._TOL, path)
+        assert np.array_equal(got[0], strict[0])
+        assert np.array_equal(got[1], strict[1])
+        assert got[2:] == strict[2:]
+    assert cut > 0
+
+
+# At _SCREEN_TOL the screen cuts runs short on designs of about 10 000 rows
+# and more; below that, runs seldom creep and the two fits are the same work.
+@pytest.mark.parametrize("design", ["discover", "blobs"])
+def test_screened_fit_keeps_the_restart_of_the_strict_fit(monkeypatch, design):
+    calls = _lloyd_calls(monkeypatch)
+    iterations = {}
+    three = [(-1.0, -1.0), (1.0, 1.0), (2.0, 0.0)]
+    for seed in range(20):
+        if design == "discover":
+            x, _ = _discover_shaped(10_000, seed=100 + seed)
+            spec = KMeansSpec(n_groups=4, seed=seed)
+        else:  # five clusters fitted to three overlapping blobs
+            x, spec = blobs(1_000, three, seed=200 + seed, sd=1.5), KMeansSpec(5, seed=seed)
+        fits = {}
+        for screen in (clustering._SCREEN_TOL, clustering._TOL):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(clustering, "_SCREEN_TOL", screen)
+                fits[screen] = fit_kmeans(x, spec)
+            iterations[screen] = iterations.get(screen, 0) + sum(n for _, n in calls)
+        fast, strict = fits.values()
+        assert fast.restart == strict.restart, seed
+        assert fast.inertia_path == strict.inertia_path, seed
+        assert np.array_equal(fast.centroids, strict.centroids), seed
+        assert np.array_equal(fast.assign(x), strict.assign(x)), seed
+    assert iterations[clustering._SCREEN_TOL] < iterations[clustering._TOL]
+
+
+def test_only_leaders_are_finished_and_the_flags_say_which_rule_stopped():
+    x, _ = _discover_shaped(2_000, seed=101)
+    spec = KMeansSpec(n_groups=4, seed=1)
+    fc = fit_kmeans(x, spec)
+    z = (x - x.mean(axis=0)) / x.std(axis=0)
+    zt = _t(z)
+    root = Stream(1).child("kmeans")
+    screened = [clustering._lloyd(z, zt, clustering._plusplus_init(zt, 4, root.child(r)),
+                                  100, clustering._SCREEN_TOL) for r in range(10)]
+    lead = min(run[2][-1] for run in screened)
+    leaders = [r for r, run in enumerate(screened)
+               if run[2][-1] <= lead * (1 + clustering._LEAD_MARGIN)]
+    assert len(leaders) < 10
+    assert fc.restart in leaders
+    for r, run in enumerate(screened):
+        if r not in leaders:
+            assert fc.restart_converged[r] == run[3]
+    capped = fit_kmeans(x, KMeansSpec(n_groups=4, seed=1, max_iter=3))
+    assert capped.restart_converged == (False,) * 10  # max_iter counts both passes
+    assert len(capped.inertia_path) == 3
+
+
+def test_fit_does_not_depend_on_the_scale_of_the_design(monkeypatch):
+    # Scaling by a power of two scales every distance and inertia exactly,
+    # so relative stop rules stop every restart at the same iteration.
+    calls = _lloyd_calls(monkeypatch)
+    x = _overlapping_blobs(2, seed=90)
+    fits, counts = [], []
+    for scale in (2.0 ** -20, 1.0, 2.0 ** 20):
+        calls.clear()
+        fits.append(fit_kmeans(x * scale, KMeansSpec(3, seed=5, standardize=False)))
+        counts.append(list(calls))
+    small, one, large = fits
+    assert small.restart == one.restart == large.restart
+    assert counts[0] == counts[1] == counts[2]
+    assert small.restart_converged == one.restart_converged == large.restart_converged
+    for fc, scale in ((small, 2.0 ** -20), (large, 2.0 ** 20)):
+        assert [v / scale ** 2 for v in fc.inertia_path] == list(one.inertia_path)
+        assert np.array_equal(fc.centroids / scale, one.centroids)
+        assert np.array_equal(fc.assign(x * scale), one.assign(x))
+
+
+@pytest.mark.parametrize("p", [1, 3, 7])
+def test_sq_dist_into_buffers_bit_identical_to_broadcast(p):
+    z = _overlapping_blobs(p, seed=45)
+    centroids = z[:4].copy()
+    want = _broadcast_d2(z, centroids).T
+    buffers = (np.full((4, len(z)), np.nan), np.full((4, len(z)), np.nan))
+    assert np.array_equal(clustering._sq_dist(_t(z), centroids, buffers), want)
+    assert np.array_equal(clustering._sq_dist(_t(z), centroids), want)

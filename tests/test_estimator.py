@@ -37,6 +37,7 @@ from ssls.learners import (
     LogisticSpec,
     OlsSpec,
     OracleSpec,
+    fit_propensity,
 )
 from ssls.estimator import NuisanceFit
 from ssls.rng import Stream
@@ -577,6 +578,23 @@ def test_forked_fold_warnings_are_raised_here_in_fold_order(monkeypatch):
     assert len(serial) == 3
     assert forked == serial
     assert serial[0][0] is NonConvergenceWarning
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=forking)])
+def test_fold_warnings_keep_their_module_for_the_filters(monkeypatch, cpus):
+    # A filter on ssls.learners catches a fold's warning, in this process or
+    # in a forked one, as it catches the same warning from a direct fit.
+    d, g, _ = draw_dgp1(Dgp1Config(n=200), stream=Stream(33).child("d"))
+    cfg = SslsConfig(OlsSpec(), LogisticSpec(max_iter=1), CrossFitPlan(seed=2))
+    monkeypatch.setattr(estimator, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(estimator, "_MIN_FORKED_WORK", 0)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", module="ssls.learners")
+        with pytest.raises(NonConvergenceWarning):
+            fit_propensity(LogisticSpec(max_iter=1), d.x, d.a)
+        with pytest.raises(NonConvergenceWarning):
+            crossfit_nuisance(d, cfg, g)
+    assert multiprocessing.active_children() == []
 
 
 def test_small_fits_stay_in_this_process(monkeypatch):

@@ -83,3 +83,14 @@ def test_children_take_the_first_jobs_and_every_job_sees_one_cpu(workers, n_jobs
     assert all(inner == [pid, pid] for pid, _, inner in seen)
     assert usable_cpus() == cpus
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=forking)])
+def test_a_job_warning_keeps_its_module_for_the_filters(workers):
+    # A filter on this module's name turns the first job's warning into an
+    # error, as it would a warning raised here; a file path would not match.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", module=__name__.replace(".", r"\.") + "$")
+        with pytest.raises(UserWarning, match="job 0"):
+            fork_join(_warn_then_fail(()), 2, workers)
+    assert multiprocessing.active_children() == []

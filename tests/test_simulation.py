@@ -9,6 +9,7 @@ from ssls.cli import main
 from ssls.data import CrossFitPlan
 from ssls.errors import DomainError, EmptyGroup, ZeroVarianceGroup
 from ssls.estimator import SslsConfig, crossfit_nuisance, estimate_ssls
+from ssls.learners import LogisticSpec, OlsSpec, learner_spec
 from ssls.parallel import fork_join, usable_cpus
 from ssls.rng import Stream
 from ssls.simulation import (
@@ -21,7 +22,6 @@ from ssls.simulation import (
     draw_blobs,
     draw_dgp1,
     draw_dgp_diag,
-    learner_specs,
     logistic,
     run_power_study,
     run_calibration_study,
@@ -83,8 +83,8 @@ def test_dgp1_random_effects_enter_model():
 def test_dgp1_truth_record_fidelity():
     # oracle nuisances at large N put every tau_hat within 5 standard errors
     d, g, truth = draw_dgp1(Dgp1Config(n=100_000), stream=Stream(6).child("d"))
-    reg, prop = learner_specs("oracle", truth)
-    cfg = SslsConfig(reg, prop, CrossFitPlan(seed=7))
+    cfg = SslsConfig(learner_spec("oracle", "outcome", truth),
+                     learner_spec("oracle", "propensity", truth), CrossFitPlan(seed=7))
     nf = crossfit_nuisance(d, cfg, g)
     ge = estimate_ssls(d, g, nf)
     assert (np.abs(ge.tau_hat - truth.tau) <= 5.0 * ge.se()).all()
@@ -229,7 +229,11 @@ def test_robustness_zero_delta_reduces_to_plain():
 
 
 def test_learner_specs_unknown():
-    with pytest.raises(ValueError):
-        learner_specs("mystery")
-    with pytest.raises(ValueError):
-        learner_specs("oracle", truth=None)
+    # a study's learner names a spec per role through learners.learner_spec
+    for role in ("outcome", "propensity"):
+        with pytest.raises(DomainError):
+            learner_spec("mystery", role)
+        with pytest.raises(DomainError):
+            learner_spec("oracle", role, truth=None)
+    assert learner_spec("ols-logistic", "outcome") == OlsSpec()
+    assert learner_spec("ols-logistic", "propensity") == LogisticSpec()
