@@ -27,13 +27,23 @@ DGP_PATH = HERE.parent.parent / "perfbench" / "dgp.py"
 CSV_NAME = "input.csv"
 N_ROWS = 3_000
 NOISE_SEED = 20
-FILES = ("report.json", "groups.csv", "centroids.csv")
-_DISCOVER = ["discover", "--data", CSV_NAME, "--outcome", "y", "--treatment", "a",
-             "--covariates", "x1,x2,x3,x4,x5", "--groups", "4", "--seed", "0"]
+_DATA = ["--data", CSV_NAME, "--outcome", "y", "--treatment", "a",
+         "--covariates", "x1,x2,x3,x4,x5", "--seed", "0"]
+_DISCOVER = ["discover", *_DATA, "--groups", "4"]
+_ESTIMATE = ["estimate", *_DATA, "--group", "g"]
+_DISCOVERED = ("report.json", "groups.csv", "centroids.csv")
+_ESTIMATED = ("report.json", "groups.csv", "residuals_raw.csv", "residuals_smooth.csv")
+# Each run's arguments and the files of its output folder that are compared.
 RUNS = {
-    "discover-ols": [*_DISCOVER, "--learner-y", "ols"],
-    "discover-ols-repeats3": [*_DISCOVER, "--learner-y", "ols", "--repeats", "3"],
-    "discover-gbm": [*_DISCOVER, "--learner-y", "gbm"],
+    "discover-ols": ([*_DISCOVER, "--learner-y", "ols"], _DISCOVERED),
+    "discover-ols-repeats3": ([*_DISCOVER, "--learner-y", "ols", "--repeats", "3"],
+                              _DISCOVERED),
+    "discover-gbm": ([*_DISCOVER, "--learner-y", "gbm"], _DISCOVERED),
+    "estimate-ols": ([*_ESTIMATE, "--learner-y", "ols"], _ESTIMATED),
+    "estimate-gbm-repeats3": ([*_ESTIMATE, "--learner-y", "gbm", "--repeats", "3"],
+                              _ESTIMATED),
+    "diagnose-ols": (["diagnose", *_DATA, "--group", "g", "--learner-y", "ols"],
+                     ("residuals_raw.csv", "residuals_smooth.csv", "flags.json")),
 }
 
 
@@ -55,7 +65,7 @@ def run(name: str, directory: Path) -> Path:
     os.chdir(directory)
     try:
         with contextlib.redirect_stderr(io.StringIO()):
-            status = main([*RUNS[name], "--out-dir", name])
+            status = main([*RUNS[name][0], "--out-dir", name])
     finally:
         os.chdir(cwd)
     if status != 0:
@@ -72,7 +82,7 @@ def main() -> None:
         for name in RUNS:
             out = run(name, workdir)
             (HERE / name).mkdir(exist_ok=True)
-            for file in FILES:
+            for file in RUNS[name][1]:
                 shutil.copyfile(out / file, HERE / name / file)
             print(f"wrote {HERE / name}")
     finally:

@@ -1,11 +1,11 @@
-"""Fixed-seed `discover` outputs match the files under tests/golden/.
+"""Fixed-seed `discover`, `estimate` and `diagnose` outputs match the files
+under tests/golden/.
 
 Each run of tests/golden/regen.py's RUNS is repeated on the same drawn CSV,
-and its report.json, groups.csv and centroids.csv are compared with the
-committed ones:
+and each file that the run names is compared with the committed one:
 
 - keys, integers, strings and booleans exactly;
-- report.json floats to 1e-12 relative;
+- JSON floats to 1e-12 relative;
 - CSV float cells to one unit in their last printed digit.
 
 The float tolerances are there so that the last bits of another platform's
@@ -76,14 +76,25 @@ def _same_csv(got_path, want_path):
             assert abs(float(g) - float(w)) <= unit * (1 + 1e-9), (want_path.name, r, g, w)
 
 
-@pytest.mark.parametrize("name", list(regen.RUNS))
-def test_discover_matches_its_golden_files(workdir, name):
+def _matches_its_golden_files(workdir, name):
     out = regen.run(name, workdir)
     want = GOLDEN / name
-    _same_json(json.loads((out / "report.json").read_text()),
-               json.loads((want / "report.json").read_text()))
-    for file in regen.FILES[1:]:
-        _same_csv(out / file, want / file)
+    for file in regen.RUNS[name][1]:
+        if file.endswith(".json"):
+            _same_json(json.loads((out / file).read_text()),
+                       json.loads((want / file).read_text()), file)
+        else:
+            _same_csv(out / file, want / file)
+
+
+@pytest.mark.parametrize("name", [n for n in regen.RUNS if n.startswith("discover")])
+def test_discover_matches_its_golden_files(workdir, name):
+    _matches_its_golden_files(workdir, name)
+
+
+@pytest.mark.parametrize("name", [n for n in regen.RUNS if not n.startswith("discover")])
+def test_estimate_and_diagnose_match_their_golden_files(workdir, name):
+    _matches_its_golden_files(workdir, name)
 
 
 def test_the_comparison_sees_a_change(workdir, tmp_path):
