@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: estimate (groupwise effects + inference on a CSV), discover
-(data-driven grouping then estimation), simulate (Monte-Carlo studies),
-diagnose (residual diagnostics), power (minimum group size).
+Subcommands: estimate, also named diagnose (groupwise effects, inference and
+residual diagnostics on a CSV), discover (data-driven grouping then
+estimation), simulate (Monte-Carlo studies), power (minimum group size).
 
 Exit codes: 0 success, 2 input/config error, 3 statistical gate failure,
 1 internal error. All outputs are deterministic given --seed: JSON carries
@@ -152,19 +152,6 @@ def _write_residuals(out_dir: Path, suffix: str, xcol, residuals, arm, labels,
     })
 
 
-def _smoothed_residuals(dataset, effects, args) -> tuple[np.ndarray, float, dict]:
-    """The diagnostic covariate column, the bandwidth used and the smoothed
-    residual series of each arm; nothing is written."""
-    xcol = covariate_column(dataset, args.diag_covariate)
-    span = float(xcol.max() - xcol.min())
-    bandwidth = args.bandwidth if args.bandwidth is not None else max(0.05 * span, 1e-12)
-    series = residual_series(
-        effects, dataset, covariate_index=args.diag_covariate,
-        bandwidth=bandwidth, grid_size=args.grid_size,
-    )
-    return xcol, bandwidth, series
-
-
 def _load_contrast(path: str, n_groups: int) -> Contrast:
     """The --contrast file: rows of K with a trailing m0 column. A cell that
     does not parse or is not finite is named by its row and column, and the
@@ -236,6 +223,9 @@ def _report(args, covariates, effects, inference, y, nf, **extra) -> dict:
 
 
 def cmd_estimate(args) -> int:
+    """estimate, also run as diagnose: one cross-fitted run, then report.json,
+    groups.csv, the residual CSVs and flags.json, all computed before the
+    first is written."""
     dataset, grouping, mapping, covariates, cfg = _load(args, need_group=True)
     contrast = (_load_contrast(args.contrast, grouping.n_groups)
                 if args.contrast else None)
@@ -252,7 +242,22 @@ def cmd_estimate(args) -> int:
             "reject": glh.reject,
         }
     payload = _report(args, covariates, effects, report, dataset.y, nf0, **extra)
-    xcol, _, series = _smoothed_residuals(dataset, effects, args)
+    xcol = covariate_column(dataset, args.diag_covariate)
+    span = float(xcol.max() - xcol.min())
+    bandwidth = args.bandwidth if args.bandwidth is not None else max(0.05 * span, 1e-12)
+    series = residual_series(effects, dataset, covariate_index=args.diag_covariate,
+                             bandwidth=bandwidth, grid_size=args.grid_size)
+    flags = {
+        "command": args.command,
+        "covariate_index": args.diag_covariate,
+        "bandwidth": bandwidth,
+        "flag_multiplier": args.flag_multiplier,
+        "flagged_regions": {
+            str(arm): [[lo, hi] for lo, hi in flag_regions(rs, args.flag_multiplier)]
+            for arm, rs in series.items()
+        },
+        "nuisance_quality": payload["nuisance_quality"],
+    }
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -260,6 +265,7 @@ def cmd_estimate(args) -> int:
     write_csv(out_dir / "groups.csv", report.csv_columns())
     _write_residuals(out_dir, "", xcol, effects.residuals, dataset.a,
                      grouping.labels, series)
+    write_json(out_dir / "flags.json", flags)
     print(f"wrote {out_dir}/report.json with {effects.n_groups} groups", file=sys.stderr)
     return 0
 
@@ -357,30 +363,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_diagnose(args) -> int:
-    dataset, grouping, _, _, cfg = _load(args, need_group=True)
-    effects, nf0 = repeated_ssls(dataset, grouping, cfg)
-    xcol, bandwidth, series = _smoothed_residuals(dataset, effects, args)
-    flags = {
-        str(arm): [[lo, hi] for lo, hi in flag_regions(rs, args.flag_multiplier)]
-        for arm, rs in series.items()
-    }
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_residuals(out_dir, "", xcol, effects.residuals, dataset.a,
-                     grouping.labels, series)
-    write_json(out_dir / "flags.json", {
-        "command": "diagnose",
-        "covariate_index": args.diag_covariate,
-        "bandwidth": bandwidth,
-        "flag_multiplier": args.flag_multiplier,
-        "flagged_regions": flags,
-        "nuisance_quality": _nuisance_quality(dataset.y, nf0),
-    })
-    return 0
-
-
 def cmd_power(args) -> int:
     n = power_min_n(args.ztilde, alpha=args.alpha, power=args.power)
     print(f"minimum group size: {n} "
@@ -427,7 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file of default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_est = sub.add_parser("estimate", help="estimate groupwise effects on a CSV")
+    p_est = sub.add_parser("estimate", aliases=["diagnose"],
+                           help="estimate groupwise effects on a CSV, with "
+                                "residual diagnostics (diagnose is another name)")
     _add_common_data_flags(p_est)
     p_est.add_argument("--contrast",
                        help="CSV of contrast rows: G columns of K then m0")
@@ -458,10 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated distances for the power study")
     p_sim.add_argument("--out-dir", default="ssls-out")
     p_sim.set_defaults(fn=cmd_simulate)
-
-    p_diag = sub.add_parser("diagnose", help="residual diagnostics on a CSV")
-    _add_common_data_flags(p_diag)
-    p_diag.set_defaults(fn=cmd_diagnose)
 
     p_pow = sub.add_parser("power", help="minimum group size for a target power")
     p_pow.add_argument("--ztilde", type=float, required=True,

@@ -15,8 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, Grouping, check_covariates_finite
-from .errors import (ClusteringDegenerate, DomainError, GroupTooSmall, OneArmOnly,
-                     TooFewSamples)
+from .errors import ClusteringDegenerate, DomainError, GroupTooSmall, TooFewSamples
 from .inference import power_min_n
 from .parallel import usable_cpus
 from .rng import Stream
@@ -257,12 +256,12 @@ def fit_kmeans(x: np.ndarray, spec: KMeansSpec) -> FittedClusterer:
 
 
 def gate_grouping(fc: FittedClusterer, d: Dataset, spec: KMeansSpec) -> Grouping:
-    """Assign labels and enforce the usability gates.
+    """Assign labels and enforce the gates that only clustering needs.
 
     Labels come out dense 1..G ordered by centroid norm (canonicalized at
     fit time). Rejects a fitted cluster that no row falls in, then groups
-    below the minimum size and groups containing a single treatment arm,
-    since all three make the groupwise estimate useless.
+    below the minimum size. A group holding one treatment arm is rejected
+    later, by validate_dataset, as for any grouping.
     """
     labels = fc.assign(d.x)
     counts = np.bincount(labels, minlength=fc.n_groups + 1)[1:]
@@ -274,8 +273,4 @@ def gate_grouping(fc: FittedClusterer, d: Dataset, spec: KMeansSpec) -> Grouping
     for g in range(fc.n_groups):
         if counts[g] < min_size:
             raise GroupTooSmall(g + 1, int(counts[g]), min_size)
-    for g in range(1, fc.n_groups + 1):
-        arms = d.a[labels == g]
-        if not ((arms == 1.0).any() and (arms == 0.0).any()):
-            raise OneArmOnly(f"group {g}")
     return Grouping(labels, fc.n_groups)

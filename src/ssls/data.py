@@ -18,6 +18,7 @@ from .errors import (
     LengthMismatch,
     NonBinaryTreatment,
     NonFinite,
+    OneArmOnly,
     SslsError,
     TooFewSamples,
 )
@@ -146,7 +147,10 @@ class CrossFitPlan:
 
 
 def validate_dataset(d: Dataset, g: Grouping) -> None:
-    """Check every core invariant; raises a specific error on the first failure."""
+    """Check every core invariant; raises a specific error on the first failure.
+
+    Every group must hold both treatment arms (OneArmOnly otherwise): a group
+    whose rows are all treated or all control identifies no effect."""
     n = d.n
     if n < 1:
         raise LengthMismatch("dataset is empty")
@@ -170,6 +174,10 @@ def validate_dataset(d: Dataset, g: Grouping) -> None:
     counts = g.counts()
     if (counts == 0).any():
         raise EmptyGroup(int(np.argmin(counts)) + 1)
+    treated = np.bincount(g.labels, weights=d.a, minlength=g.n_groups + 1)[1:]
+    one_arm = (treated == 0) | (treated == counts)
+    if one_arm.any():
+        raise OneArmOnly(f"group {int(np.argmax(one_arm)) + 1}")
 
 
 def check_covariates_finite(x: np.ndarray) -> None:
@@ -405,15 +413,6 @@ def load_csv(
     def column(name: str) -> np.ndarray:
         if bulk is not None:
             return np.ascontiguousarray(bulk[0][:, slot[name]])
-        # One cast parses the column as float() would; a column that fails is
-        # read again cell by cell, which raises naming its first bad row.
-        j = col_index[name]
-        try:
-            values = np.array([row[j] for row in rows], dtype=np.float64)
-            if np.isfinite(values).all():
-                return values
-        except (IndexError, ValueError):
-            pass
         return np.array([numeric(i, name) for i in range(n)])
 
     y = column(outcome)
@@ -431,13 +430,7 @@ def load_csv(
     grouping = None
     mapping: dict = {}
     if group is not None:
-        if bulk is not None:
-            values = bulk[1]
-        else:
-            j = col_index[group]
-            values = [row[j].strip() if j < len(row) else "" for row in rows]
-            if "" in values:
-                values = [cell(i, group) for i in range(n)]  # raises naming the row
+        values = bulk[1] if bulk is not None else [cell(i, group) for i in range(n)]
         labels, mapping = relabel_dense(values)
         grouping = Grouping(labels, int(labels.max()))
     return dataset, grouping, mapping, prop

@@ -190,10 +190,6 @@ def estimate_ssls(d: Dataset, g: Grouping, nf: NuisanceFit) -> GroupEffects:
     """
     validate_dataset(d, g)
     n = d.n
-    if n < 2 * g.n_groups:
-        raise TooFewSamples(
-            f"{n} observations cannot support {g.n_groups} groups"
-        )
     r_y = d.y - nf.m_hat
     r_a = d.a - nf.e_hat
     labels0 = g.labels - 1

@@ -19,21 +19,30 @@ from .errors import DomainError, ZeroVarianceContrast, ZeroVarianceGroup
 
 
 def check_alpha(alpha: float) -> None:
-    """DomainError unless the level alpha lies in (0, 1)."""
+    """DomainError unless the level alpha lies in (0, 1) and is large enough
+    that 1 - alpha/2 is below 1 in floating point, where z_{1-alpha/2} exists."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise DomainError(f"alpha {alpha} is too small: 1 - alpha/2 rounds to 1, "
+                          "so its normal quantile cannot be computed")
 
 
 def maxt_critical(alpha: float, n_comparisons: int) -> float:
     """Two-sided critical value for the max of independent standard normals.
 
     q = z at level 1 - (1 - (1-alpha)^(1/G)) / 2; reduces to z_{1-alpha/2}
-    at G = 1 and grows slowly with the number of comparisons.
+    at G = 1 and grows slowly with the number of comparisons. A DomainError
+    names alpha and G when that level rounds to 1, so q cannot be computed.
     """
     check_alpha(alpha)
     if n_comparisons < 1:
         raise DomainError(f"need at least one comparison, got {n_comparisons}")
     per_test = 1.0 - (1.0 - alpha) ** (1.0 / n_comparisons)
+    if 1.0 - per_test / 2.0 == 1.0:
+        raise DomainError(f"alpha {alpha} with G = {n_comparisons} comparisons is too "
+                          "small: the per-test level rounds away, so its normal "
+                          "quantile cannot be computed")
     return normal_quantile(1.0 - per_test / 2.0)
 
 

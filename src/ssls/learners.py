@@ -45,11 +45,6 @@ CLIP = 0.01  # propensities are clipped to [CLIP, 1 - CLIP]
 # two x86-64 cores a 7-node tree took 0.4 to 0.8 of the row-subset walk's
 # time on 500 to 20 000 rows, and an 11-node tree 0.4 to 1.1.
 _COLUMNWISE_MAX_NODES = 7
-# Fits on fewer training rows scan two-valued features with the continuous
-# ones. On two x86-64 cores, a 100-tree depth-2 fit of a DGP1 design with
-# three binary covariates took 1.05 of the scan-only time at 350 rows, 0.94
-# to 0.99 at 650 and 0.88 at 850 when those covariates took their own cut.
-_MIN_BLOCK_ROWS = 700
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +267,7 @@ def _presort(x: np.ndarray, min_leaf: int) -> _Presort:
     """What the split search needs of x alone, computed once per fit.
 
     Features are classed on the training rows as continuous, two-valued or
-    constant (never searched); below _MIN_BLOCK_ROWS rows a two-valued
-    feature counts as continuous. ``ids`` holds each feature's stable row
+    constant (never searched). ``ids`` holds each feature's stable row
     order, by class in that order and by feature index within one;
     ``order[r]`` is the feature of row r, ``pos0`` the row of feature 0 and
     ``offsets`` the continuous rows' offsets into ``xt.ravel()``. Also kept:
@@ -288,7 +282,6 @@ def _presort(x: np.ndarray, min_leaf: int) -> _Presort:
     xs = xt.ravel()[ids + np.arange(0, xt.size, n)[:, None]]  # x[ids[j], j]
     lo, hi = xs[:, 0], xs[:, -1]
     two = ((xs == lo[:, None]) | (xs == hi[:, None])).all(axis=1) & (lo < hi)
-    two &= n >= _MIN_BLOCK_ROWS
     cont = ~two & (lo != hi)
     order = np.concatenate([np.flatnonzero(cont), np.flatnonzero(two),
                             np.flatnonzero(~cont & ~two)])

@@ -1,5 +1,10 @@
 """Where independent jobs run: cross-fitting folds and Monte-Carlo replicates.
 
+One rule says where work runs: numpy-bound work, such as the k-means Lloyd
+passes (clustering.fit_kmeans), runs on threads, since numpy releases the
+GIL; Python-bound work, such as the folds and replicates, whose tree growing
+holds it, runs on forked processes through fork_join.
+
 Each job draws from its own seeded stream, so its result does not depend on
 the process that runs it. `workers` counts the processes that run jobs, the
 calling one included; one running jobs of a join with children counts one

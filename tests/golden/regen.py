@@ -32,7 +32,8 @@ _DATA = ["--data", CSV_NAME, "--outcome", "y", "--treatment", "a",
 _DISCOVER = ["discover", *_DATA, "--groups", "4"]
 _ESTIMATE = ["estimate", *_DATA, "--group", "g"]
 _DISCOVERED = ("report.json", "groups.csv", "centroids.csv")
-_ESTIMATED = ("report.json", "groups.csv", "residuals_raw.csv", "residuals_smooth.csv")
+_ESTIMATED = ("report.json", "groups.csv", "residuals_raw.csv", "residuals_smooth.csv",
+              "flags.json")
 # Each run's arguments and the files of its output folder that are compared.
 RUNS = {
     "discover-ols": ([*_DISCOVER, "--learner-y", "ols"], _DISCOVERED),
@@ -43,7 +44,7 @@ RUNS = {
     "estimate-gbm-repeats3": ([*_ESTIMATE, "--learner-y", "gbm", "--repeats", "3"],
                               _ESTIMATED),
     "diagnose-ols": (["diagnose", *_DATA, "--group", "g", "--learner-y", "ols"],
-                     ("residuals_raw.csv", "residuals_smooth.csv", "flags.json")),
+                     _ESTIMATED),
 }
 
 

@@ -138,11 +138,14 @@ def test_criterion_06_closed_form_equals_generic_ls():
         n_groups = 1 + int(inst.child("G").integers(1, 6)[0])
         n = max(2 * n_groups, 8 + int(inst.child("n").integers(1, 193)[0]))
         labels = 1 + inst.child("lab").integers(n, n_groups)
-        labels[:n_groups] = np.arange(1, n_groups + 1)
+        # the first 2G rows give every group a control and a treated row
+        labels[:2 * n_groups] = np.tile(np.arange(1, n_groups + 1), 2)
+        a = inst.child("a").bernoulli(0.5, n).astype(float)
+        a[:2 * n_groups] = np.repeat([0.0, 1.0], n_groups)
         grouping = Grouping(labels, n_groups)
         d = Dataset(
             y=3.0 * inst.child("y").normal(n),
-            a=inst.child("a").bernoulli(0.5, n).astype(float),
+            a=a,
             x=inst.child("x").normal(n)[:, None],
         )
         nf = NuisanceFit(

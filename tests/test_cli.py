@@ -462,14 +462,41 @@ def test_unknown_learner_name_exit_2(toy_csv, tmp_path, capsys, flag, name, mess
 
 
 def test_diagnose_outputs(toy_csv, tmp_path):
-    out = tmp_path / "diag"
-    args = estimate_args(toy_csv, out)
-    args[0] = "diagnose"
-    assert main(args) == 0
-    assert (out / "residuals_raw.csv").exists()
-    assert (out / "residuals_smooth.csv").exists()
-    flags = json.loads((out / "flags.json").read_text())
-    assert "flagged_regions" in flags
+    # diagnose is another name for estimate: the same files from one run,
+    # which differ only in the command each names; both take --contrast
+    contrast = tmp_path / "K.csv"
+    contrast.write_text("1,0\n")
+    outputs = {}
+    for command in ("estimate", "diagnose"):
+        args = estimate_args(toy_csv, tmp_path / command, ["--contrast", str(contrast)])
+        args[0] = command
+        assert main(args) == 0
+        outputs[command] = {f.name: f.read_text() for f in (tmp_path / command).iterdir()}
+    assert sorted(outputs["diagnose"]) == ["flags.json", "groups.csv", "report.json",
+                                           "residuals_raw.csv", "residuals_smooth.csv"]
+    for name, text in outputs["estimate"].items():
+        assert outputs["diagnose"][name] == text.replace('"command": "estimate"',
+                                                         '"command": "diagnose"')
+    assert "contrast_test" in json.loads(outputs["diagnose"]["report.json"])
+    flags = json.loads(outputs["diagnose"]["flags.json"])
+    assert list(flags) == ["bandwidth", "command", "covariate_index", "flag_multiplier",
+                           "flagged_regions", "nuisance_quality"]
+    assert flags["command"] == "diagnose"
+
+
+def test_estimate_flag_multiplier_takes_effect(dgp1_csv, tmp_path):
+    regions = {}
+    for multiplier in ("0", "8", "1e9"):
+        out = tmp_path / multiplier
+        assert main(["estimate", "--data", str(dgp1_csv), "--outcome", "y",
+                     "--treatment", "a", "--group", "g", "--covariates", "x1,x2,x3",
+                     "--learner-y", "ols", "--flag-multiplier", multiplier,
+                     "--out-dir", str(out)]) == 0
+        flags = json.loads((out / "flags.json").read_text())
+        assert flags["flag_multiplier"] == float(multiplier)
+        regions[multiplier] = flags["flagged_regions"]
+    assert regions["1e9"] == {"0": [], "1": []}
+    assert regions["0"] != regions["8"]
 
 
 @pytest.mark.parametrize("command, flag, value, message", [
@@ -509,6 +536,17 @@ def test_alpha_outside_unit_interval_exit_2(toy_csv, tmp_path, capsys, monkeypat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "diagnose"])
+def test_an_alpha_whose_quantile_rounds_away_exit_2(toy_csv, tmp_path, capsys, command):
+    args = estimate_args(toy_csv, tmp_path / "out", ["--alpha", "1e-300"])
+    args[0] = command
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: alpha 1e-300 is too small: 1 - alpha/2 rounds to 1, so its normal "
+        "quantile cannot be computed\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture
 def dgp1_csv(tmp_path):
     d, g, _ = draw_dgp1(Dgp1Config(n=300), stream=Stream(5).child("cli"))
@@ -544,9 +582,9 @@ def test_nuisance_quality_reads_the_split0_fit(dgp1_csv, tmp_path, monkeypatch,
                         lambda *a, **kw: calls.append(1) or crossfit(*a, **kw))
     assert main(argv) == 0
     assert len(calls) == 3  # one cross-fit per repeat, none refitted
-    report = "report.json" if command == "estimate" else "flags.json"
-    quality = json.loads((out / report).read_text())["nuisance_quality"]
+    quality = json.loads((out / "report.json").read_text())["nuisance_quality"]
     assert quality["outcome_oof_mse"] == expected
+    assert json.loads((out / "flags.json").read_text())["nuisance_quality"] == quality
 
 
 def test_estimate_zero_variance_group_exit_2(dgp1_csv, tmp_path, capsys):

@@ -11,7 +11,7 @@ from ssls import clustering
 from ssls.clustering import FittedClusterer, KMeansSpec, fit_kmeans, gate_grouping
 from ssls.data import Dataset
 from ssls.errors import (ClusteringDegenerate, DomainError, GroupTooSmall, NonFinite,
-                         OneArmOnly, SslsError, TooFewSamples)
+                         SslsError, TooFewSamples)
 from ssls.rng import Stream
 
 
@@ -114,15 +114,6 @@ def test_gate_group_too_small():
     with pytest.raises(GroupTooSmall) as err:
         gate_grouping(fc, d, KMeansSpec(n_groups=2, seed=19, min_group_size=25))
     assert err.value.size == 3
-
-
-def test_gate_one_arm():
-    x = blobs(40, [(-6.0, 0.0), (6.0, 0.0)], seed=20)
-    a = np.concatenate([np.tile([0.0, 1.0], 20), np.ones(40)])
-    d = Dataset(y=np.zeros(80), a=a, x=x)
-    fc = fit_kmeans(x, KMeansSpec(n_groups=2, seed=21))
-    with pytest.raises(OneArmOnly):
-        gate_grouping(fc, d, KMeansSpec(n_groups=2, seed=21, min_group_size=5))
 
 
 def test_min_size_default_from_power_rule():

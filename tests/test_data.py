@@ -26,6 +26,7 @@ from ssls.errors import (
     LengthMismatch,
     NonBinaryTreatment,
     NonFinite,
+    OneArmOnly,
     PropensityOutOfRange,
     SslsError,
     TooFewSamples,
@@ -56,6 +57,15 @@ def test_validate_empty_group():
     with pytest.raises(EmptyGroup) as err:
         validate_dataset(small_dataset(), Grouping([1, 1, 1, 1], 2))
     assert err.value.group == 2
+
+
+def test_gate_one_arm():
+    # every grouping, discovered or given, needs both arms in each group
+    for a, where in (([0, 1, 1, 1], "group 2"), ([0, 0, 0, 1], "group 1")):
+        d = Dataset(y=[1.0, 2.0, 3.0, 4.0], a=a, x=[[0.1], [0.2], [0.3], [0.4]])
+        with pytest.raises(OneArmOnly) as err:
+            validate_dataset(d, Grouping([1, 1, 2, 2], 2))
+        assert err.value.where == where
 
 
 def test_validate_length_mismatch():

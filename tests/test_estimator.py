@@ -180,10 +180,10 @@ def test_estimate_matches_generic_ls():
 
 
 def test_estimate_degenerate_group():
-    d = Dataset(y=[1.0, 2.0, 3.0, 4.0], a=[1, 1, 0, 0], x=np.zeros((4, 1)))
+    d = Dataset(y=[1.0, 2.0, 3.0, 4.0], a=[1, 0, 1, 0], x=np.zeros((4, 1)))
     g = Grouping([1, 1, 2, 2], 2)
     # e_hat equal to a in group 2 makes its denominator exactly zero
-    nf = NuisanceFit(m_hat=np.zeros(4), e_hat=np.array([0.5, 0.5, 0.0, 0.0]),
+    nf = NuisanceFit(m_hat=np.zeros(4), e_hat=np.array([0.5, 0.5, 1.0, 0.0]),
                      fold_of=np.zeros(4, dtype=int))
     with pytest.raises(DegenerateGroup) as err:
         estimate_ssls(d, g, nf)
@@ -191,12 +191,15 @@ def test_estimate_degenerate_group():
 
 
 def test_estimate_too_few_samples():
+    # each group needs a treated and a control row, so 3 rows cannot hold
+    # 2 groups: the one-row group is named
     d = Dataset(y=[1.0, 2.0, 3.0], a=[1, 0, 1], x=np.zeros((3, 1)))
     g = Grouping([1, 2, 2], 2)
     nf = NuisanceFit(m_hat=np.zeros(3), e_hat=np.full(3, 0.5),
                      fold_of=np.zeros(3, dtype=int))
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(OneArmOnly) as err:
         estimate_ssls(d, g, nf)
+    assert err.value.where == "group 1"
 
 
 def test_residuals_definition():
@@ -609,3 +612,58 @@ def test_small_fits_stay_in_this_process(monkeypatch):
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
     crossfit_nuisance(d, SslsConfig(GbmSpec(), GbmSpec(), CrossFitPlan(seed=0)), g)
     crossfit_nuisance(d, SslsConfig(OlsSpec(), LogisticSpec(), CrossFitPlan(seed=0)), g)
+
+
+def _one_arm_design(case):
+    """420 rows in two groups by the sign of x1, plus a group 3 that
+    identifies no effect: one row, or 20 rows all in control. Group 3 lies
+    in the estimation two thirds of estimate_dssls's split at seed 0."""
+    s = Stream(35)
+    n = 420
+    x = s.normal(2 * n).reshape(n, 2)
+    a = (s.uniform(n) < 0.5).astype(float)
+    y = x[:, 0] + 2.0 * a + s.normal(n)
+    labels = 1 + (x[:, 0] >= 0.0).astype(np.int64)
+    est_idx = _three_way_split(n, 0)[1]
+    third = est_idx[:1] if case == "one-row" else est_idx[:20]
+    labels[third] = 3
+    a[third] = 0.0
+    return Dataset(y, a, x), labels, est_idx
+
+
+def _run_cli(d, labels, tmp_path):
+    from ssls.cli import main
+
+    path = tmp_path / "one-arm.csv"
+    with open(path, "w") as fh:
+        fh.write("y,a,g,x1,x2\n")
+        for row in zip(d.y, d.a, labels, d.x[:, 0], d.x[:, 1]):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    return main(["estimate", "--data", str(path), "--outcome", "y", "--treatment", "a",
+                 "--group", "g", "--covariates", "x1,x2", "--learner-y", "ols",
+                 "--seed", "0", "--out-dir", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("case", ["one-row", "control-only"])
+@pytest.mark.parametrize("entry", ["repeated_ssls", "estimate_dssls", "cli"])
+def test_a_group_with_one_arm_is_rejected_before_any_fit(tmp_path, monkeypatch, capsys,
+                                                         case, entry):
+    # Nothing in group 3 is treated, so nothing identifies its effect; the
+    # closed form once returned a confident estimate for it.
+    d, labels, est_idx = _one_arm_design(case)
+    cfg = SslsConfig(OlsSpec(), LogisticSpec(), CrossFitPlan(seed=0))
+    fits = []
+    monkeypatch.setattr(estimator, "fit_regression", lambda *a, **kw: fits.append(1))
+    if entry == "cli":
+        assert _run_cli(d, labels, tmp_path) == 3
+        assert capsys.readouterr().err == (
+            "gate failure: only one treatment arm present in group 3\n")
+        assert not (tmp_path / "out").exists()
+    else:
+        with pytest.raises(OneArmOnly) as err:
+            if entry == "repeated_ssls":
+                repeated_ssls(d, Grouping(labels, 3), cfg)
+            else:
+                estimate_dssls(d, lambda x_est: labels[est_idx], cfg)
+        assert err.value.where == "group 3"
+    assert not fits

@@ -1,6 +1,7 @@
 """Testing and intervals: maxT, pointwise, pairwise, GLH, power rule."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from ssls.dists import normal_cdf, normal_quantile
 from ssls.errors import DomainError, ZeroVarianceContrast, ZeroVarianceGroup
 from ssls.inference import (
     Contrast,
+    check_alpha,
     glh_test,
     maxt_critical,
     power_min_n,
@@ -68,6 +70,26 @@ def test_maxt_domain():
         maxt_critical(0.0, 3)
     with pytest.raises(DomainError):
         maxt_critical(0.05, 0)
+
+
+@pytest.mark.parametrize("alpha, n_comparisons, named", [
+    (1e-300, 1, "alpha 1e-300 is too small: 1 - alpha/2 rounds to 1"),
+    (1e-17, 4, "alpha 1e-17 is too small: 1 - alpha/2 rounds to 1"),
+    (1e-15, 100, "alpha 1e-15 with G = 100 comparisons is too small"),
+    (1.2e-16, 1, "alpha 1.2e-16 with G = 1 comparisons is too small"),
+])
+def test_maxt_names_an_alpha_whose_quantile_rounds_away(alpha, n_comparisons, named):
+    # each once raised "normal_quantile requires p in (0, 1), got 1.0"
+    with pytest.raises(DomainError, match=re.escape(named)):
+        maxt_critical(alpha, n_comparisons)
+
+
+def test_check_alpha_rejects_where_one_minus_half_alpha_rounds_to_one():
+    check_alpha(2.0**-52)  # 1 - 2**-53 is the largest double below 1
+    for alpha in (2.0**-53, 1e-17, 1e-300, 5e-324):
+        with pytest.raises(DomainError, match=f"alpha {alpha} is too small"):
+            check_alpha(alpha)
+    assert maxt_critical(1e-12, 100) > maxt_critical(1e-9, 100)
 
 
 def test_pointwise_null_is_untouched():

@@ -528,23 +528,18 @@ def _oracle_designs():
 
 @pytest.mark.parametrize("max_depth", [1, 2, 3])
 @pytest.mark.parametrize("min_leaf", [1, 5, 10])
-def test_tree_grower_bit_identical_to_oracle(max_depth, min_leaf, monkeypatch):
-    # once as fitted, where designs under _MIN_BLOCK_ROWS scan their
-    # two-valued columns, and once with every two-valued column on its own cut
+def test_tree_grower_bit_identical_to_oracle(max_depth, min_leaf):
+    # every two-valued column takes its own block-scored cut, and the trees
+    # are those of the oracle's scan of every cut
     held_out = Stream(11).normal(60 * 5).reshape(60, 5)
-    for block_rows in (learners._MIN_BLOCK_ROWS, 0):
-        monkeypatch.setattr(learners, "_MIN_BLOCK_ROWS", block_rows)
-        with np.errstate(over="ignore", invalid="ignore"):
-            _compare_with_oracle(max_depth, min_leaf, held_out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _compare_with_oracle(max_depth, min_leaf, held_out)
 
 
-def test_presort_classes_features(monkeypatch):
+def test_presort_classes_features():
     # continuous first, then two-valued, then constant, each by feature index
     x = np.column_stack([np.arange(8.0) % 3, [2.0, 5.0] * 4, np.ones(8),
                          [1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
-    pre = learners._presort(x, 1)
-    assert (pre.order.tolist(), pre.n_cont, pre.low) == ([0, 1, 3, 2], 3, [])
-    monkeypatch.setattr(learners, "_MIN_BLOCK_ROWS", 8)
     pre = learners._presort(x, 1)
     assert (pre.order.tolist(), pre.n_cont, pre.low, pre.pos0) == ([0, 1, 3, 2], 1, [4, 5], 0)
     assert pre.ids[1].tolist() == [0, 2, 4, 6, 1, 3, 5, 7]

@@ -7,7 +7,7 @@ import pytest
 
 from ssls.cli import main
 from ssls.data import CrossFitPlan
-from ssls.errors import DomainError, EmptyGroup, ZeroVarianceGroup
+from ssls.errors import DomainError, EmptyGroup, OneArmOnly
 from ssls.estimator import SslsConfig, crossfit_nuisance, estimate_ssls
 from ssls.learners import LogisticSpec, OlsSpec, learner_spec
 from ssls.parallel import fork_join, usable_cpus
@@ -150,11 +150,11 @@ def test_calibration_determinism_and_worker_invariance():
         assert a.coverage == c.coverage
 
 
-@pytest.mark.parametrize("seed, error", [(0, ZeroVarianceGroup), (1, EmptyGroup)])
+@pytest.mark.parametrize("seed, error", [(0, OneArmOnly), (1, EmptyGroup)])
 def test_an_error_in_a_worker_reaches_the_caller_as_itself(seed, error):
-    # at n = 8 some replicate draws a group with zero plug-in variance
-    # (seed 0) or an empty group (seed 1); the first such replicate names
-    # the error at any worker count
+    # at n = 8 some replicate draws a group with one treatment arm (seed 0)
+    # or an empty group (seed 1); the first such replicate names the error
+    # at any worker count
     kw = dict(cells=[("oracle", 0.0, 0.0)], reps=6, n=8, seed=seed)
     with pytest.raises(error) as serial:
         run_calibration_study(**kw, workers=1)
