@@ -8,8 +8,10 @@ with them. A change that runs this script must list, in CHANGES.md, every
 file and every field it changed and say why; an unexplained difference in a
 golden file is a regression.
 
-The input CSV is drawn with perfbench/dgp.py, loaded by path, so that a
-change to the library's own data-generating process cannot move it.
+The input CSV of discover, estimate and diagnose is drawn with
+perfbench/dgp.py, loaded by path, so that a change to the library's own
+data-generating process cannot move it. The simulate runs draw from that
+process, so they pin it along with the studies.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ _DATA = ["--data", CSV_NAME, "--outcome", "y", "--treatment", "a",
          "--covariates", "x1,x2,x3,x4,x5", "--seed", "0"]
 _DISCOVER = ["discover", *_DATA, "--groups", "4"]
 _ESTIMATE = ["estimate", *_DATA, "--group", "g"]
+_SIMULATE = ["simulate", "--seed", "0", "--study"]
 _DISCOVERED = ("report.json", "groups.csv", "centroids.csv")
 _ESTIMATED = ("report.json", "groups.csv", "residuals_raw.csv", "residuals_smooth.csv",
               "flags.json")
@@ -45,6 +48,17 @@ RUNS = {
                               _ESTIMATED),
     "diagnose-ols": (["diagnose", *_DATA, "--group", "g", "--learner-y", "ols"],
                      _ESTIMATED),
+    "simulate-calibration": ([*_SIMULATE, "calibration", "--learners",
+                              "oracle,gbm,cart,ols-logistic", "--sigma-a", "0,1",
+                              "--reps", "3", "--n", "300"], ("calibration.csv",)),
+    "simulate-power": ([*_SIMULATE, "power", "--reps", "4", "--n", "300",
+                        "--distances", "0,1.5"], ("power.csv",)),
+    "simulate-robustness": ([*_SIMULATE, "robustness", "--reps", "2"],
+                            ("robustness.csv",)),
+    "simulate-diagnostic": ([*_SIMULATE, "diagnostic", "--n", "1000"],
+                            tuple(f"residuals_{kind}_{tag}.csv"
+                                  for kind in ("raw", "smooth")
+                                  for tag in ("correct", "misspecified"))),
 }
 
 

@@ -1,8 +1,10 @@
-"""Fixed-seed `discover`, `estimate` and `diagnose` outputs match the files
-under tests/golden/.
+"""Fixed-seed `discover`, `estimate`, `diagnose` and `simulate` outputs match
+the files under tests/golden/.
 
-Each run of tests/golden/regen.py's RUNS is repeated on the same drawn CSV,
-and each file that the run names is compared with the committed one:
+Each run of tests/golden/regen.py's RUNS is repeated, the first three
+commands on the same drawn CSV and the four `simulate` studies (calibration,
+power, robustness, diagnostic) on their own draws, and each file that the
+run names is compared with the committed one:
 
 - keys, integers, strings and booleans exactly;
 - JSON floats to 1e-12 relative;
@@ -92,8 +94,14 @@ def test_discover_matches_its_golden_files(workdir, name):
     _matches_its_golden_files(workdir, name)
 
 
-@pytest.mark.parametrize("name", [n for n in regen.RUNS if not n.startswith("discover")])
+@pytest.mark.parametrize("name", [n for n in regen.RUNS
+                                  if n.startswith(("estimate", "diagnose"))])
 def test_estimate_and_diagnose_match_their_golden_files(workdir, name):
+    _matches_its_golden_files(workdir, name)
+
+
+@pytest.mark.parametrize("name", [n for n in regen.RUNS if n.startswith("simulate")])
+def test_simulate_matches_its_golden_files(workdir, name):
     _matches_its_golden_files(workdir, name)
 
 
