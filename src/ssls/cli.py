@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -103,11 +104,11 @@ def _propensity_column(raw: str | None) -> str | None:
     return None
 
 
-def _load(args, need_group: bool):
+def _load(args, estimate: bool):
     """Check every setting, then read the CSV: the dataset, the grouping, its
     relabeling, the covariate names and the SslsConfig. Of the settings only
     a known propensity column waits for the data, so a bad setting fails
-    before the file is read."""
+    before the file is read. Only estimate needs --group and smoother settings."""
     covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
     if not covariates:
         raise DomainError("--covariates must name at least one column")
@@ -119,37 +120,38 @@ def _load(args, need_group: bool):
     elif column is None:
         propensity = KnownPropensity(float(args.propensity))
     plan = CrossFitPlan(args.n_folds, args.stratified, args.repeats, args.seed)
-    check_covariate_index(args.diag_covariate, len(covariates))
-    check_smoother(args.bandwidth, args.grid_size)
-    check_sd_multiplier(args.flag_multiplier)
+    if estimate:
+        check_covariate_index(args.diag_covariate, len(covariates))
+        check_smoother(args.bandwidth, args.grid_size)
+        check_sd_multiplier(args.flag_multiplier)
     dataset, grouping, mapping, values = load_csv(
         args.data,
         outcome=args.outcome,
         treatment=args.treatment,
         covariates=covariates,
-        group=args.group if need_group else None,
+        group=args.group if estimate else None,
         propensity=column,
     )
-    if need_group and grouping is None:
+    if estimate and grouping is None:
         raise DomainError("--group is required for this subcommand")
     if column is not None:
         propensity = KnownPropensity(values)
     return dataset, grouping, mapping, covariates, SslsConfig(regression, propensity, plan)
 
 
-def _write_residuals(out_dir: Path, suffix: str, xcol, residuals, arm, labels,
-                     series: dict) -> None:
-    """Write residuals_raw{suffix}.csv, one row per observation, and
-    residuals_smooth{suffix}.csv, one row per grid point of each arm."""
-    write_csv(out_dir / f"residuals_raw{suffix}.csv", {
-        "x": xcol, "residual": residuals, "arm": arm.astype(np.int64),
-        "group": labels,
-    })
-    write_csv(out_dir / f"residuals_smooth{suffix}.csv", {
-        "x_grid": np.concatenate([series[t].grid for t in (0, 1)]),
-        "curve": np.concatenate([series[t].smooth for t in (0, 1)]),
-        "arm": np.repeat([0, 1], [series[t].grid.size for t in (0, 1)]),
-    })
+def _residual_tables(suffix: str, xcol, residuals, arm, labels, series: dict) -> dict:
+    """residuals_raw{suffix}.csv, one row per observation, and
+    residuals_smooth{suffix}.csv, one row per grid point of each arm, as
+    {file name: columns}."""
+    return {
+        f"residuals_raw{suffix}.csv": {"x": xcol, "residual": residuals,
+                                       "arm": arm.astype(np.int64), "group": labels},
+        f"residuals_smooth{suffix}.csv": {
+            "x_grid": np.concatenate([series[t].grid for t in (0, 1)]),
+            "curve": np.concatenate([series[t].smooth for t in (0, 1)]),
+            "arm": np.repeat([0, 1], [series[t].grid.size for t in (0, 1)]),
+        },
+    }
 
 
 def _load_contrast(path: str, n_groups: int) -> Contrast:
@@ -226,7 +228,7 @@ def cmd_estimate(args) -> int:
     """estimate, also run as diagnose: one cross-fitted run, then report.json,
     groups.csv, the residual CSVs and flags.json, all computed before the
     first is written."""
-    dataset, grouping, mapping, covariates, cfg = _load(args, need_group=True)
+    dataset, grouping, mapping, covariates, cfg = _load(args, estimate=True)
     contrast = (_load_contrast(args.contrast, grouping.n_groups)
                 if args.contrast else None)
     effects, nf0 = repeated_ssls(dataset, grouping, cfg)
@@ -263,8 +265,9 @@ def cmd_estimate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "report.json", payload)
     write_csv(out_dir / "groups.csv", report.csv_columns())
-    _write_residuals(out_dir, "", xcol, effects.residuals, dataset.a,
-                     grouping.labels, series)
+    for name, columns in _residual_tables("", xcol, effects.residuals, dataset.a,
+                                          grouping.labels, series).items():
+        write_csv(out_dir / name, columns)
     write_json(out_dir / "flags.json", flags)
     print(f"wrote {out_dir}/report.json with {effects.n_groups} groups", file=sys.stderr)
     return 0
@@ -276,7 +279,7 @@ def cmd_discover(args) -> int:
         seed=args.seed,
         min_group_size=args.min_group_size,
     )
-    dataset, _, _, covariates, cfg = _load(args, need_group=False)
+    dataset, _, _, covariates, cfg = _load(args, estimate=False)
     result = estimate_dssls(dataset, spec, cfg)
     est_idx = result.estimation_indices
     # estimate_dssls fits k-means, and so sets clusterer, whenever its
@@ -314,24 +317,21 @@ def cmd_discover(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Run one study, then write its CSVs, so that a bad setting writes nothing."""
     if args.study == "calibration":
         learners = [s.strip() for s in args.learners.split(",") if s.strip()]
-        sigmas_a = [float(v) for v in args.sigma_a.split(",")]
-        sigmas_y = [float(v) for v in args.sigma_y.split(",")]
-        grid = [(lrn, sa, sy)
-                for lrn in learners
-                for sa in sigmas_a
-                for sy in sigmas_y]
-        results = run_calibration_study(grid, reps=args.reps, n=args.n,
-                                   seed=args.seed, workers=args.workers)
+        if not learners:
+            raise DomainError("--learners must name at least one learner")
+        sigmas = [[float(v) for v in text.split(",")] for text in (args.sigma_a, args.sigma_y)]
+        results = run_calibration_study(list(product(learners, *sigmas)),
+                                        reps=args.reps, n=args.n, seed=args.seed,
+                                        workers=args.workers)
         rows = [(r.learner, r.sigma_a, r.sigma_y, g + 1, r.bias[g], r.ese[g],
                  r.ase[g], r.ese_ase_ratio[g], r.coverage, r.reps)
                 for r in results for g in range(len(r.bias))]
         header = ("learner", "sigma_a", "sigma_y", "group", "bias", "ese", "ase",
                   "ese_ase_ratio", "coverage", "reps")
-        write_csv(out_dir / "calibration.csv", dict(zip(header, zip(*rows))))
+        tables = {"calibration.csv": dict(zip(header, zip(*rows)))}
         for r in results:
             print(f"calibration {r.learner} sA={r.sigma_a} sY={r.sigma_y}: "
                   f"{r.runtime:.1f}s", file=sys.stderr)
@@ -339,11 +339,11 @@ def cmd_simulate(args) -> int:
         distances = [float(v) for v in args.distances.split(",")]
         points = run_power_study(distances=distances, reps=args.reps, n=args.n,
                                  seed=args.seed, workers=args.workers)
-        write_csv(out_dir / "power.csv", {
+        tables = {"power.csv": {
             "distance": [p.distance for p in points],
             "power": [p.rejection_rate for p in points],
             "reps": [p.reps for p in points],
-        })
+        }}
     elif args.study == "robustness":
         rows = [(row.n, int(row.constant_propensity), g + 1, row.bias[g],
                  row.mc_se[g], row.reps)
@@ -353,13 +353,17 @@ def cmd_simulate(args) -> int:
                                                 workers=args.workers)
                 for g in range(len(row.bias))]
         header = ("n", "constant_propensity", "group", "bias", "mc_se", "reps")
-        write_csv(out_dir / "robustness.csv", dict(zip(header, zip(*rows))))
-    elif args.study == "diagnostic":
+        tables = {"robustness.csv": dict(zip(header, zip(*rows)))}
+    else:  # diagnostic, the last of the parser's choices
+        tables = {}
         for tag, run in run_diagnostic_once(n=args.n, seed=args.seed).items():
-            _write_residuals(out_dir, f"_{tag}", run.dataset.x[:, 0], run.residuals,
-                             run.dataset.a, run.grouping.labels, run.series)
-    else:
-        raise DomainError(f"unknown study '{args.study}'")
+            tables.update(_residual_tables(f"_{tag}", run.dataset.x[:, 0], run.residuals,
+                                           run.dataset.a, run.grouping.labels,
+                                           run.series))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, columns in tables.items():
+        write_csv(out_dir / name, columns)
     return 0
 
 
@@ -392,12 +396,6 @@ def _add_common_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default="ssls-out")
-    p.add_argument("--bandwidth", type=float, default=None,
-                   help="residual smoother bandwidth "
-                        "(default: 5%% of the covariate range)")
-    p.add_argument("--grid-size", type=int, default=200)
-    p.add_argument("--diag-covariate", type=int, default=0)
-    p.add_argument("--flag-multiplier", type=float, default=8.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,6 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_data_flags(p_est)
     p_est.add_argument("--contrast",
                        help="CSV of contrast rows: G columns of K then m0")
+    p_est.add_argument("--bandwidth", type=float, default=None,
+                       help="residual smoother bandwidth "
+                            "(default: 5%% of the covariate range)")
+    p_est.add_argument("--grid-size", type=int, default=200)
+    p_est.add_argument("--diag-covariate", type=int, default=0)
+    p_est.add_argument("--flag-multiplier", type=float, default=8.0)
     p_est.set_defaults(fn=cmd_estimate)
 
     p_disc = sub.add_parser("discover", help="discover groups, then estimate")
@@ -427,19 +431,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a Monte-Carlo study")
     p_sim.add_argument("--study", required=True,
                        choices=["calibration", "power", "robustness", "diagnostic"])
-    p_sim.add_argument("--reps", type=int, default=100)
-    p_sim.add_argument("--n", type=int, default=1000)
+    p_sim.add_argument("--reps", type=int, default=100,
+                       help="replicates per cell (not diagnostic, which draws once)")
+    p_sim.add_argument("--n", type=int, default=1000,
+                       help="sample size (not robustness, which runs 1000 and 5000)")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--workers", type=int,
-                       help="processes that run replicates (default: the usable CPUs)")
+                       help="processes that run replicates (default: the usable CPUs; "
+                            "not diagnostic)")
     p_sim.add_argument("--learners", default="oracle",
-                       help="comma-separated learners for calibration")
+                       help="comma-separated learners (calibration only)")
     p_sim.add_argument("--sigma-a", default="0,1",
-                       help="comma-separated treatment random-effect scales (calibration study)")
+                       help="comma-separated treatment random-effect scales (calibration only)")
     p_sim.add_argument("--sigma-y", default="0",
-                       help="comma-separated outcome random-effect scales (calibration study)")
+                       help="comma-separated outcome random-effect scales (calibration only)")
     p_sim.add_argument("--distances", default="0,0.4,0.8,1.2,1.6,2.0",
-                       help="comma-separated distances for the power study")
+                       help="comma-separated distances from tau0 (power only)")
     p_sim.add_argument("--out-dir", default="ssls-out")
     p_sim.set_defaults(fn=cmd_simulate)
 

@@ -2,8 +2,8 @@
 
 Clusters are canonicalized at fit time (sorted by centroid norm, then
 lexicographically) so labels are stable, and the gates reject groupings
-that would be statistically unusable downstream: groups below a minimum
-size or with only one treatment arm.
+that would be statistically unusable downstream: an empty cluster or a
+group below a minimum size (data.validate_dataset rejects a one-arm group).
 """
 
 from __future__ import annotations

@@ -38,6 +38,12 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def check_workers(workers: Optional[int]) -> None:
+    """DomainError unless workers, when given, is at least 1."""
+    if workers is not None and workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+
+
 def _recorded(k: int) -> tuple:
     """_job(k) as (result, warnings, error): every warning it raised as
     (category, message, filename, lineno, module), module being the dotted
@@ -68,9 +74,8 @@ def fork_join(job: Callable[[int], object], n_jobs: int,
     The pool is shut down before this returns or raises.
     """
     global _job, _sharing
+    check_workers(workers)
     workers = usable_cpus() if workers is None else workers
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
     children = min(workers, n_jobs) - 1 if sys.platform == "linux" else 0
     forked = n_jobs - max(1, n_jobs // (children + 1)) if children > 0 else 0
     pool = (ProcessPoolExecutor(children, mp_context=multiprocessing.get_context("fork"))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import DomainError
 from .estimator import SslsConfig, estimate_ssls, single_run
 from .inference import maxt_critical, simultaneous_cis
 from .learners import KnownPropensity, OlsSpec, learner_spec
-from .parallel import fork_join
+from .parallel import check_workers, fork_join
 from .rng import Stream
 
 
@@ -50,6 +49,10 @@ class Dgp1Config:
     def __post_init__(self):
         if self.n < 8:
             raise DomainError("n must be at least 8 to populate four groups")
+        for name in ("sigma_a", "sigma_y"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise DomainError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -199,6 +202,25 @@ def draw_blobs(cfg: BlobConfig, stream: Optional[Stream] = None):
 _REP_PLAN = CrossFitPlan()
 
 
+def _replicator(reps: int, least: int, why: str, workers: Optional[int]):
+    """run(root, rep) = [rep(root.child(r)) for r in range(reps)] by fork_join,
+    whose children inherit rep, so a closure over a study's settings is never
+    pickled. DomainError, before any replicate runs, unless reps >= least and
+    workers >= 1."""
+    if reps < least:
+        raise DomainError(f"reps must be >= {least} ({why})")
+    check_workers(workers)
+    return lambda root, rep: fork_join(lambda r: rep(root.child(r)), reps, workers)
+
+
+def _single_run(d: Dataset, grouping: Grouping, learner: str, truth, stream: Stream):
+    """single_run with the outcome and propensity specs that `learner` names,
+    on _REP_PLAN's folds drawn from stream's "plan" child."""
+    cfg = SslsConfig(learner_spec(learner, "outcome", truth),
+                     learner_spec(learner, "propensity", truth), _REP_PLAN)
+    return single_run(d, grouping, cfg, seed=stream.child("plan").key)
+
+
 @dataclass(frozen=True)
 class StudyResult:
     """One calibration-study cell: per-group bias/ESE/ASE and the rate at which
@@ -216,20 +238,6 @@ class StudyResult:
     runtime: float = field(compare=False, default=0.0)
 
 
-def _calibration_rep(seed, cell_index, learner, sigma_a, sigma_y, n, alpha, rep):
-    stream = Stream(seed).child("calibration").child(cell_index).child(rep)
-    cfg1 = Dgp1Config(n=n, sigma_a=sigma_a, sigma_y=sigma_y)
-    d, grouping, truth = draw_dgp1(cfg1, stream=stream.child("data"))
-    cfg = SslsConfig(learner_spec(learner, "outcome", truth),
-                     learner_spec(learner, "propensity", truth), _REP_PLAN)
-    ge, _ = single_run(d, grouping, cfg, seed=stream.child("plan").key)
-    report = simultaneous_cis(ge, alpha=alpha)
-    covers = bool(
-        np.all((report.ci_simul_lo <= truth.tau) & (truth.tau <= report.ci_simul_hi))
-    )
-    return ge.tau_hat, ge.se(), covers
-
-
 def run_calibration_study(
     cells: Sequence[tuple[str, float, float]],
     reps: int = 500,
@@ -239,26 +247,31 @@ def run_calibration_study(
     workers: Optional[int] = None,
 ) -> list[StudyResult]:
     """Monte-Carlo bias/ESE/ASE/coverage over (learner, sigma_a, sigma_y) cells."""
-    if reps < 2:
-        raise DomainError("reps must be >= 2 (the ESE needs a spread)")
+    run = _replicator(reps, 2, "the ESE needs a spread", workers)
+    # every cell's design is checked before the first replicate runs
+    designs = [(learner, Dgp1Config(n=n, sigma_a=sa, sigma_y=sy))
+               for learner, sa, sy in cells]
     results = []
-    for cell_index, (learner, sigma_a, sigma_y) in enumerate(cells):
+    for cell_index, (learner, dgp) in enumerate(designs):
         t0 = time.perf_counter()
-        rep_fn = partial(_calibration_rep, seed, cell_index, learner, sigma_a,
-                         sigma_y, n, alpha)
-        rows = fork_join(rep_fn, reps, workers)
-        tau_hats = np.stack([r[0] for r in rows])
-        ases = np.stack([r[1] for r in rows])
-        covers = np.asarray([r[2] for r in rows])
-        tau_true = np.asarray(Dgp1Config().tau)
+        def rep(stream):
+            d, grouping, truth = draw_dgp1(dgp, stream=stream.child("data"))
+            ge, _ = _single_run(d, grouping, learner, truth, stream)
+            report = simultaneous_cis(ge, alpha=alpha)
+            covers = bool(np.all((report.ci_simul_lo <= truth.tau)
+                                 & (truth.tau <= report.ci_simul_hi)))
+            return ge.tau_hat, ge.se(), covers
+
+        rows = run(Stream(seed).child("calibration").child(cell_index), rep)
+        tau_hats, ases, covers = map(np.asarray, zip(*rows))
         ese = tau_hats.std(axis=0, ddof=1)
         ase = ases.mean(axis=0)
         results.append(
             StudyResult(
                 learner=learner,
-                sigma_a=sigma_a,
-                sigma_y=sigma_y,
-                bias=tau_hats.mean(axis=0) - tau_true,
+                sigma_a=dgp.sigma_a,
+                sigma_y=dgp.sigma_y,
+                bias=tau_hats.mean(axis=0) - dgp.tau,
                 ese=ese,
                 ase=ase,
                 ese_ase_ratio=ese / ase,
@@ -277,24 +290,6 @@ class PowerPoint:
     reps: int
 
 
-def _power_rep(seed, point_index, distance, tau0, n, alpha, learner, rep):
-    stream = Stream(seed).child("power").child(point_index).child(rep)
-    tau0 = np.asarray(tau0, dtype=np.float64)
-    if distance > 0:
-        direction = stream.child("alt").normal(len(tau0))
-        direction /= np.linalg.norm(direction)
-        tau_alt = tau0 + distance * direction
-    else:
-        tau_alt = tau0
-    cfg1 = Dgp1Config(n=n, sigma_a=0.0, sigma_y=0.0, tau=tuple(tau_alt))
-    d, grouping, truth = draw_dgp1(cfg1, stream=stream.child("data"))
-    cfg = SslsConfig(learner_spec(learner, "outcome", truth),
-                     learner_spec(learner, "propensity", truth), _REP_PLAN)
-    ge, _ = single_run(d, grouping, cfg, seed=stream.child("plan").key)
-    t_stats = (ge.tau_hat - tau0) / ge.se()
-    return bool(np.max(np.abs(t_stats)) > maxt_critical(alpha, len(tau0)))
-
-
 def run_power_study(
     tau0: Sequence[float] = (1.0, 2.0, 3.0, 4.0),
     distances: Sequence[float] = (0.0, 0.4, 0.8, 1.2, 1.6, 2.0),
@@ -306,21 +301,29 @@ def run_power_study(
     workers: Optional[int] = None,
 ) -> list[PowerPoint]:
     """Rejection rate of the maxT test against alternatives at each L2
-    distance from tau0 (random sphere directions); distance 0 is the size."""
-    if reps < 1:
-        raise DomainError("reps must be >= 1 (a rejection rate needs a replicate)")
+    distance from tau0 (random sphere directions); distance 0 is the size.
+    DomainError unless every distance is finite and >= 0."""
+    run = _replicator(reps, 1, "a rejection rate needs a replicate", workers)
+    distances = [float(v) for v in distances]
+    if not all(np.isfinite(v) and v >= 0.0 for v in distances):
+        raise DomainError(f"distances must be finite and >= 0, got {distances}")
+    tau0 = np.asarray(tau0, dtype=np.float64)
     points = []
     for point_index, distance in enumerate(distances):
-        rep_fn = partial(_power_rep, seed, point_index, float(distance), tuple(tau0),
-                         n, alpha, learner)
-        rejections = fork_join(rep_fn, reps, workers)
-        points.append(
-            PowerPoint(
-                distance=float(distance),
-                rejection_rate=float(np.mean(rejections)),
-                reps=reps,
-            )
-        )
+        def rep(stream):
+            tau_alt = tau0
+            if distance > 0:
+                direction = stream.child("alt").normal(len(tau0))
+                tau_alt = tau0 + distance * (direction / np.linalg.norm(direction))
+            d, grouping, truth = draw_dgp1(Dgp1Config(n=n, tau=tuple(tau_alt)),
+                                           stream=stream.child("data"))
+            ge, _ = _single_run(d, grouping, learner, truth, stream)
+            t_stats = (ge.tau_hat - tau0) / ge.se()
+            return bool(np.max(np.abs(t_stats)) > maxt_critical(alpha, len(tau0)))
+
+        rejections = run(Stream(seed).child("power").child(point_index), rep)
+        points.append(PowerPoint(distance=distance,
+                                 rejection_rate=float(np.mean(rejections)), reps=reps))
     return points
 
 
@@ -337,26 +340,6 @@ class RobustnessRow:
     reps: int
 
 
-def _robustness_rep(seed, n, constant_propensity, delta_scale, rep):
-    stream = Stream(seed).child("robustness").child(int(constant_propensity)).child(rep)
-    x = stream.child("x").normal(2 * n).reshape(n, 2)
-    labels = (1 + (x[:, 1] >= 0.0)).astype(np.int64)
-    tau = np.array([1.0, 2.0])
-    if constant_propensity:
-        e_true = np.where(labels == 1, 0.4, 0.6)
-    else:
-        e_true = logistic(0.5 + x[:, 0])
-    a = stream.child("a").bernoulli(e_true).astype(np.float64)
-    delta = delta_scale * x[:, 0]  # mean zero within each group
-    y = (1.0 + x[:, 0] + x[:, 1] + a * (tau[labels - 1] + delta)
-         + stream.child("eps").normal(n))
-    d = Dataset(y, a, x)
-    grouping = Grouping(labels, 2)
-    cfg = SslsConfig(OlsSpec(), KnownPropensity(e_true), _REP_PLAN)
-    ge, _ = single_run(d, grouping, cfg, seed=stream.child("plan").key)
-    return ge.tau_hat - tau
-
-
 def run_robustness_study(
     n_grid: Sequence[int] = (1000, 5000),
     reps: int = 500,
@@ -369,12 +352,28 @@ def run_robustness_study(
     (outcome gains a treated-arm term with zero group mean). With the
     propensity constant inside each group the estimator stays centered on
     the group average; the non-constant arm is the negative control."""
-    if reps < 2:
-        raise DomainError("reps must be >= 2 (the Monte-Carlo SE needs a spread)")
+    run = _replicator(reps, 2, "the Monte-Carlo SE needs a spread", workers)
+    tau = np.array([1.0, 2.0])
     rows = []
     for n in n_grid:
-        rep_fn = partial(_robustness_rep, seed, n, constant_propensity, delta_scale)
-        errors = np.stack(fork_join(rep_fn, reps, workers))
+        def rep(stream):
+            x = stream.child("x").normal(2 * n).reshape(n, 2)
+            labels = (1 + (x[:, 1] >= 0.0)).astype(np.int64)
+            if constant_propensity:
+                e_true = np.where(labels == 1, 0.4, 0.6)
+            else:
+                e_true = logistic(0.5 + x[:, 0])
+            a = stream.child("a").bernoulli(e_true).astype(np.float64)
+            delta = delta_scale * x[:, 0]  # mean zero within each group
+            y = (1.0 + x[:, 0] + x[:, 1] + a * (tau[labels - 1] + delta)
+                 + stream.child("eps").normal(n))
+            cfg = SslsConfig(OlsSpec(), KnownPropensity(e_true), _REP_PLAN)
+            ge, _ = single_run(Dataset(y, a, x), Grouping(labels, 2), cfg,
+                               seed=stream.child("plan").key)
+            return ge.tau_hat - tau
+
+        errors = np.stack(run(Stream(seed).child("robustness")
+                              .child(int(constant_propensity)), rep))
         rows.append(
             RobustnessRow(
                 n=n,
@@ -414,9 +413,7 @@ def run_diagnostic_once(
     stream = Stream(seed).child("diag-study")
     d, groupings, truth = draw_dgp_diag(DgpDiagConfig(n=n, seed=seed),
                                         stream=stream.child("data"))
-    cfg = SslsConfig(learner_spec(learner, "outcome", truth),
-                     learner_spec(learner, "propensity", truth), _REP_PLAN)
-    ge, nf = single_run(d, groupings["correct"], cfg, seed=stream.child("plan").key)
+    ge, nf = _single_run(d, groupings["correct"], learner, truth, stream)
     effects = {"correct": ge,
                "misspecified": estimate_ssls(d, groupings["misspecified"], nf)}
     runs = {}
@@ -427,23 +424,6 @@ def run_diagnostic_once(
         runs[tag] = DiagnosticRun(residuals=ge.residuals, series=series, flags=flags,
                                   grouping=groupings[tag], dataset=d)
     return runs
-
-
-def _diag_rep(seed, n, bandwidth, grid_size, learner, sd_multiplier, rep):
-    runs = run_diagnostic_once(
-        n=n, bandwidth=bandwidth, grid_size=grid_size,
-        seed=Stream(seed).child("diag-reps").child(rep).key, learner=learner,
-        sd_multiplier=sd_multiplier,
-    )
-    overlap = any(
-        lo < 0.75 and hi > 0.25
-        for flags in runs["misspecified"].flags.values()
-        for lo, hi in flags
-    )
-    small = max(
-        flagged_fraction(rs, sd_multiplier) for rs in runs["correct"].series.values()
-    ) < 0.05
-    return overlap, small
 
 
 @dataclass(frozen=True)
@@ -465,12 +445,19 @@ def run_diagnostic_study(
 ) -> DiagnosticStudyResult:
     """Across reps: how often the wrong grouping is flagged in its
     misspecified band, and how often the right grouping stays clean."""
-    if reps < 1:
-        raise DomainError("reps must be >= 1 (a rate needs a replicate)")
-    rep_fn = partial(_diag_rep, seed, n, bandwidth, grid_size, learner, sd_multiplier)
-    rows = fork_join(rep_fn, reps, workers)
-    return DiagnosticStudyResult(
-        misspecified_overlap_rate=float(np.mean([r[0] for r in rows])),
-        correct_small_flag_rate=float(np.mean([r[1] for r in rows])),
-        reps=reps,
-    )
+    run = _replicator(reps, 1, "a rate needs a replicate", workers)
+
+    def rep(stream):
+        runs = run_diagnostic_once(n=n, bandwidth=bandwidth, grid_size=grid_size,
+                                   seed=stream.key, learner=learner,
+                                   sd_multiplier=sd_multiplier)
+        overlap = any(lo < 0.75 and hi > 0.25
+                      for flags in runs["misspecified"].flags.values()
+                      for lo, hi in flags)
+        small = max(flagged_fraction(rs, sd_multiplier)
+                    for rs in runs["correct"].series.values()) < 0.05
+        return overlap, small
+
+    overlap, small = np.mean(run(Stream(seed).child("diag-reps"), rep), axis=0)
+    return DiagnosticStudyResult(misspecified_overlap_rate=float(overlap),
+                                 correct_small_flag_rate=float(small), reps=reps)

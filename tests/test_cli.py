@@ -240,6 +240,7 @@ def test_bad_plan_setting_exit_2_before_fitting(toy_csv, blob_csv, tmp_path, cap
     assert list(out.glob("*")) == []
 
 
+_SMOOTHER_FLAGS = ("--bandwidth", "--grid-size", "--flag-multiplier", "--diag-covariate")
 _SETTINGS_NAMED = [
     ("--folds", "1", "n_folds"),
     ("--repeats", "0", "repeats"),
@@ -266,12 +267,24 @@ def test_bad_setting_named_before_the_csv_is_read(tmp_path, capsys, command, fla
     missing = tmp_path / "missing.csv"
     args = [command, "--data", str(missing), "--outcome", "y", "--treatment", "a",
             "--covariates", "x1", "--out-dir", str(tmp_path / "out"),
-            *(["--groups", "2"] if command == "discover" else ["--group", "grp"]),
-            flag, value]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err
-    assert "missing.csv" not in err
+            *(["--groups", "2"] if command == "discover" else ["--group", "grp"])]
+    if command == "discover" and flag in _SMOOTHER_FLAGS:
+        # discover runs no smoother, so it takes none of its flags, on the
+        # command line or from a config file
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+        for argv in ([*args, flag, value], ["--config", str(config), *args]):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {flag} {value}" in err
+            assert "missing.csv" not in err
+    else:
+        assert main([*args, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "missing.csv" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -561,7 +574,7 @@ def dgp1_csv(tmp_path):
 
 def _refit_split0_mse(argv):
     """The nuisance-quality figure as once computed: a fresh split-0 refit."""
-    d, g, _, _, cfg = _load(build_parser().parse_args(argv), need_group=True)
+    d, g, _, _, cfg = _load(build_parser().parse_args(argv), estimate=True)
     seed0 = Stream(cfg.plan.seed).child("repeat").child(0).key
     fold_of = make_crossfit_plan(d.n, cfg.plan, grouping=g, seed=seed0)
     nf = estimator.crossfit_nuisance(d, cfg, grouping=g, fold_of=fold_of)

@@ -1,10 +1,12 @@
 """Data-generating processes and study harness checks."""
 
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
 
+from ssls import simulation
 from ssls.cli import main
 from ssls.data import CrossFitPlan
 from ssls.errors import DomainError, EmptyGroup, OneArmOnly
@@ -135,19 +137,25 @@ def test_calibration_smoke_and_fields():
     assert 0.0 <= r.coverage <= 1.0
 
 
-def test_calibration_determinism_and_worker_invariance():
-    kw = dict(cells=[("oracle", 0.0, 0.0)], reps=6, n=200, seed=5)
-    a = run_calibration_study(**kw, workers=1)[0]
-    b = run_calibration_study(**kw, workers=1)[0]
-    assert np.array_equal(a.bias, b.bias)
-    assert np.array_equal(a.ese, b.ese)
-    assert a.coverage == b.coverage
+def _compared(result):
+    """A study's result as plain values, each field its dataclass compares."""
+    return [{f.name: np.asarray(getattr(r, f.name)).tolist()
+             for f in dataclasses.fields(r) if f.compare}
+            for r in (result if isinstance(result, list) else [result])]
+
+
+@pytest.mark.parametrize("study, kw", [
+    (run_calibration_study, dict(cells=[("oracle", 0.0, 0.0)], reps=6, n=200, seed=5)),
+    (run_power_study, dict(distances=(0.0, 1.5), reps=5, n=200, seed=5)),
+    (run_robustness_study, dict(n_grid=(200, 300), reps=5, seed=5,
+                                constant_propensity=False)),
+    (run_diagnostic_study, dict(reps=3, n=400, seed=5, learner="ols-logistic")),
+], ids=["calibration", "power", "robustness", "diagnostic"])
+def test_study_determinism_and_worker_invariance(study, kw):
+    a = _compared(study(**kw, workers=1))
+    assert _compared(study(**kw, workers=1)) == a
     for workers in (2, 4):
-        c = run_calibration_study(**kw, workers=workers)[0]
-        assert np.array_equal(a.bias, c.bias)
-        assert np.array_equal(a.ese, c.ese)
-        assert np.array_equal(a.ase, c.ase)
-        assert a.coverage == c.coverage
+        assert _compared(study(**kw, workers=workers)) == a
 
 
 @pytest.mark.parametrize("seed, error", [(0, OneArmOnly), (1, EmptyGroup)])
@@ -204,6 +212,46 @@ def test_studies_reject_undefined_statistics_and_bad_workers(study, kw, argv, me
         assert main(["simulate", *argv, "--out-dir", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+# A setting outside a study's domain is named before any replicate runs: a
+# negative or non-finite power distance or random-effect scale, an empty
+# learner list, and the reps and workers checks on an empty grid. The CLI,
+# where it takes the setting, exits 2 and writes nothing.
+@pytest.mark.parametrize("study, kw, argv, message", [
+    (run_power_study, dict(distances=[0.0, -1.0]),
+     ["--study", "power", "--distances", "0,-1"], "distances must be finite and >= 0"),
+    (run_power_study, dict(distances=[float("nan")]),
+     ["--study", "power", "--distances", "nan"], "distances must be finite and >= 0"),
+    (run_calibration_study, dict(cells=[("oracle", float("nan"), 0.0)]),
+     ["--study", "calibration", "--sigma-a", "nan"], "sigma_a must be finite and >= 0"),
+    (run_calibration_study, dict(cells=[("oracle", 0.0, 0.0), ("oracle", -1.0, 0.0)]),
+     ["--study", "calibration", "--sigma-a", "0,-1"], "sigma_a must be finite and >= 0"),
+    (run_calibration_study, dict(cells=[("oracle", 0.0, float("inf"))]),
+     ["--study", "calibration", "--sigma-y", "inf"], "sigma_y must be finite and >= 0"),
+    (None, None, ["--study", "calibration", "--learners", ""],
+     "--learners must name at least one learner"),
+    (None, None, ["--study", "calibration", "--learners", " , "],
+     "--learners must name at least one learner"),
+    (run_calibration_study, dict(cells=[], reps=1), None, "reps must be >= 2"),
+    (run_calibration_study, dict(cells=[], workers=0), None, "workers must be >= 1"),
+    (run_power_study, dict(distances=[], workers=0), None, "workers must be >= 1"),
+    (run_robustness_study, dict(n_grid=[], reps=0), None, "reps must be >= 2"),
+])
+def test_studies_reject_bad_settings_before_any_replicate(study, kw, argv, message,
+                                                          tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+    monkeypatch.setattr(simulation, "single_run", fail)
+    if study is not None:
+        with pytest.raises(DomainError, match=message):
+            study(**kw)
+    if argv is not None:
+        out = tmp_path / "out"
+        assert main(["simulate", *argv, "--reps", "2", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
 
 def test_power_study_size_and_monotone_smoke():
