@@ -10,8 +10,9 @@ golden file is a regression.
 
 The input CSV of discover, estimate and diagnose is drawn with
 perfbench/dgp.py, loaded by path, so that a change to the library's own
-data-generating process cannot move it. The simulate runs draw from that
-process, so they pin it along with the studies.
+data-generating process cannot move it; its last column, ps, is the design's
+true propensity. The simulate runs draw from that process, so they pin it
+along with the studies.
 """
 
 from __future__ import annotations
@@ -24,9 +25,12 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
 HERE = Path(__file__).resolve().parent
 DGP_PATH = HERE.parent.parent / "perfbench" / "dgp.py"
 CSV_NAME = "input.csv"
+CONTRAST_NAME = "contrast.csv"
 N_ROWS = 3_000
 NOISE_SEED = 20
 _DATA = ["--data", CSV_NAME, "--outcome", "y", "--treatment", "a",
@@ -46,6 +50,12 @@ RUNS = {
     "estimate-ols": ([*_ESTIMATE, "--learner-y", "ols"], _ESTIMATED),
     "estimate-gbm-repeats3": ([*_ESTIMATE, "--learner-y", "gbm", "--repeats", "3"],
                               _ESTIMATED),
+    "estimate-cart": ([*_ESTIMATE, "--learner-y", "cart", "--learner-e", "cart"],
+                      _ESTIMATED),
+    "estimate-propensity-column": ([*_ESTIMATE, "--learner-y", "ols",
+                                    "--propensity", "ps"], _ESTIMATED),
+    "estimate-contrast": ([*_ESTIMATE, "--learner-y", "ols",
+                           "--contrast", CONTRAST_NAME], _ESTIMATED),
     "diagnose-ols": (["diagnose", *_DATA, "--group", "g", "--learner-y", "ols"],
                      _ESTIMATED),
     "simulate-calibration": ([*_SIMULATE, "calibration", "--learners",
@@ -63,11 +73,17 @@ RUNS = {
 
 
 def write_input(directory: Path) -> None:
-    """The fixed input CSV, as CSV_NAME in directory."""
+    """The fixed input CSV, as CSV_NAME in directory, and a two-row contrast
+    (tau_1 = tau_2, tau_3 = tau_4) as CONTRAST_NAME."""
     spec = importlib.util.spec_from_file_location("golden_dgp", DGP_PATH)
     dgp = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(dgp)
-    dgp.write_csv(directory / CSV_NAME, dgp.draw(N_ROWS, NOISE_SEED))
+    columns = dgp.draw(N_ROWS, NOISE_SEED)
+    x1, x2, x3, x4, x5 = (columns[name] for name in dgp.COVARIATES)
+    index = 0.5 + 0.5 * x1 + 0.5 * x2 - 0.5 * x3 - x4 + x5
+    columns["ps"] = 1.0 / (1.0 + np.exp(-index))
+    dgp.write_csv(directory / CSV_NAME, columns)
+    (directory / CONTRAST_NAME).write_text("1,-1,0,0,0\n0,0,1,-1,0\n")
 
 
 def run(name: str, directory: Path) -> Path:
