@@ -36,10 +36,7 @@ from .errors import (
     OneArmOnly,
     SslsError,
 )
-# Bound under the public name, through which perfbench/tracing.py times the
-# estimator stage; it also returns the first split's nuisance fit.
-from .estimator import SslsConfig, estimate_dssls
-from .estimator import _repeated_runs as repeated_ssls
+from .estimator import SslsConfig, estimate_dssls, repeated_ssls
 from .inference import Contrast, check_alpha, glh_test, power_min_n, simultaneous_cis
 from .learners import KnownPropensity, learner_spec
 from .simulation import (
@@ -108,7 +105,7 @@ def _load(args, estimate: bool):
     """Check every setting, then read the CSV: the dataset, the grouping, its
     relabeling, the covariate names and the SslsConfig. Of the settings only
     a known propensity column waits for the data, so a bad setting fails
-    before the file is read. Only estimate needs --group and smoother settings."""
+    before the file is read. Only estimate takes --group and smoother settings."""
     covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
     if not covariates:
         raise DomainError("--covariates must name at least one column")
@@ -129,11 +126,9 @@ def _load(args, estimate: bool):
         outcome=args.outcome,
         treatment=args.treatment,
         covariates=covariates,
-        group=args.group if estimate else None,
+        group=args.group,
         propensity=column,
     )
-    if estimate and grouping is None:
-        raise DomainError("--group is required for this subcommand")
     if column is not None:
         propensity = KnownPropensity(values)
     return dataset, grouping, mapping, covariates, SslsConfig(regression, propensity, plan)
@@ -152,6 +147,15 @@ def _residual_tables(suffix: str, xcol, residuals, arm, labels, series: dict) ->
             "arm": np.repeat([0, 1], [series[t].grid.size for t in (0, 1)]),
         },
     }
+
+
+def _float_list(flag: str, text: str) -> list[float]:
+    """The comma-separated numbers of a simulate list flag; a DomainError
+    names the flag, its value and the first item that is not a number."""
+    try:
+        return [float(item) for item in text.split(",")]
+    except ValueError as err:
+        raise DomainError(f"{flag} {text!r}: {err}") from None
 
 
 def _load_contrast(path: str, n_groups: int) -> Contrast:
@@ -236,13 +240,8 @@ def cmd_estimate(args) -> int:
     extra = {"group_relabeling": {str(k): v for k, v in mapping.items()}}
     if contrast is not None:
         glh = glh_test(effects, contrast, alpha=args.alpha)
-        extra["contrast_test"] = {
-            "statistic": glh.statistic,
-            "rank": glh.rank,
-            "p_value": glh.p_value,
-            "critical_value": glh.critical_value,
-            "reject": glh.reject,
-        }
+        extra["contrast_test"] = {name: getattr(glh, name) for name in
+                                  ("statistic", "rank", "p_value", "critical_value", "reject")}
     payload = _report(args, covariates, effects, report, dataset.y, nf0, **extra)
     xcol = covariate_column(dataset, args.diag_covariate)
     span = float(xcol.max() - xcol.min())
@@ -322,7 +321,8 @@ def cmd_simulate(args) -> int:
         learners = [s.strip() for s in args.learners.split(",") if s.strip()]
         if not learners:
             raise DomainError("--learners must name at least one learner")
-        sigmas = [[float(v) for v in text.split(",")] for text in (args.sigma_a, args.sigma_y)]
+        sigmas = [_float_list(flag, text) for flag, text in
+                  (("--sigma-a", args.sigma_a), ("--sigma-y", args.sigma_y))]
         results = run_calibration_study(list(product(learners, *sigmas)),
                                         reps=args.reps, n=args.n, seed=args.seed,
                                         workers=args.workers)
@@ -336,7 +336,7 @@ def cmd_simulate(args) -> int:
             print(f"calibration {r.learner} sA={r.sigma_a} sY={r.sigma_y}: "
                   f"{r.runtime:.1f}s", file=sys.stderr)
     elif args.study == "power":
-        distances = [float(v) for v in args.distances.split(",")]
+        distances = _float_list("--distances", args.distances)
         points = run_power_study(distances=distances, reps=args.reps, n=args.n,
                                  seed=args.seed, workers=args.workers)
         tables = {"power.csv": {
@@ -380,7 +380,6 @@ def _add_common_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--treatment", required=True, help="0/1 treatment column name")
     p.add_argument("--covariates", required=True,
                    help="comma-separated covariate column names")
-    p.add_argument("--group", help="group column name")
     p.add_argument("--propensity",
                    help="known propensity: column name or literal constant in (0,1)")
     p.add_argument("--learner-y", default="gbm",
@@ -411,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="estimate groupwise effects on a CSV, with "
                                 "residual diagnostics (diagnose is another name)")
     _add_common_data_flags(p_est)
+    p_est.add_argument("--group", required=True, help="group column name")
     p_est.add_argument("--contrast",
                        help="CSV of contrast rows: G columns of K then m0")
     p_est.add_argument("--bandwidth", type=float, default=None,
@@ -421,12 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--flag-multiplier", type=float, default=8.0)
     p_est.set_defaults(fn=cmd_estimate)
 
-    p_disc = sub.add_parser("discover", help="discover groups, then estimate")
+    p_disc = sub.add_parser("discover", help="discover groups, then estimate",
+                            allow_abbrev=False)  # --group is refused, not read as --groups
     _add_common_data_flags(p_disc)
     p_disc.add_argument("--groups", type=int, required=True,
                         help="number of groups to discover")
     p_disc.add_argument("--min-group-size", type=int, default=None)
-    p_disc.set_defaults(fn=cmd_discover)
+    p_disc.set_defaults(fn=cmd_discover, group=None)
 
     p_sim = sub.add_parser("simulate", help="run a Monte-Carlo study")
     p_sim.add_argument("--study", required=True,

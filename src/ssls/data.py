@@ -76,11 +76,12 @@ class Grouping:
     def counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_groups + 1)[1:]
 
-    def indicator(self) -> np.ndarray:
-        """N x G 0/1 membership matrix."""
-        out = np.zeros((self.n, self.n_groups))
-        out[np.arange(self.n), self.labels - 1] = 1.0
-        return out
+
+def per_row(columns: dict) -> list[dict]:
+    """One {name: cell} dict per row of equal-length columns; each cell is
+    the Python int, float or bool that numpy's tolist gives."""
+    return [dict(zip(columns, row))
+            for row in zip(*(np.asarray(v).tolist() for v in columns.values()))]
 
 
 @dataclass(frozen=True)
@@ -110,16 +111,9 @@ class GroupEffects:
     def to_dict(self) -> dict:
         return {
             "n_effective": int(self.n_effective),
-            "groups": [
-                {
-                    "g": g + 1,
-                    "n_g": int(self.n_g[g]),
-                    "tau_hat": float(self.tau_hat[g]),
-                    "se": float(self.se()[g]),
-                    "sigma_gg_hat": float(self.sigma_gg_hat[g]),
-                }
-                for g in range(self.n_groups)
-            ],
+            "groups": per_row({"g": np.arange(1, self.n_groups + 1),
+                               "n_g": self.n_g.astype(np.int64), "tau_hat": self.tau_hat,
+                               "se": self.se(), "sigma_gg_hat": self.sigma_gg_hat}),
             "residual_summary": {
                 "mean": float(np.mean(self.residuals)),
                 "sd": float(np.std(self.residuals)),
@@ -197,7 +191,7 @@ def _chunk_labels(m: int, k: int) -> np.ndarray:
 
 def make_crossfit_plan(
     n: int,
-    plan: CrossFitPlan | None = None,
+    plan: CrossFitPlan,
     grouping: Optional[Grouping] = None,
     seed: Optional[int] = None,
 ) -> np.ndarray:
@@ -208,8 +202,6 @@ def make_crossfit_plan(
     rotating which fold receives each group's remainder so totals stay
     balanced. Deterministic given the seed.
     """
-    if plan is None:
-        plan = CrossFitPlan()
     if seed is None:
         seed = plan.seed
     k = plan.n_folds

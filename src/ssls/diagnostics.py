@@ -22,14 +22,11 @@ class ResidualSeries:
     """Residuals of one treatment arm against one covariate, with a
     Nadaraya-Watson (Gaussian kernel) smooth on an equispaced grid."""
 
-    arm: int
-    covariate_index: int
     x: np.ndarray
     residuals: np.ndarray
     grid: np.ndarray
     smooth: np.ndarray
     effective_n: np.ndarray
-    bandwidth: float
 
 
 # Linear binning splits each observation between its two nearest bin
@@ -144,8 +141,7 @@ def residual_series(
     lo, hi = float(xcol.min()), float(xcol.max())
     grid = np.linspace(lo, hi, grid_size)
     smoothed = _nw_smooth(xs, resids, lo, hi, grid_size, bandwidth)
-    return {arm: ResidualSeries(arm, covariate_index, xs[arm], resids[arm], grid,
-                                *smoothed[arm], bandwidth)
+    return {arm: ResidualSeries(xs[arm], resids[arm], grid, *smoothed[arm])
             for arm in (0, 1)}
 
 

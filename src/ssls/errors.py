@@ -78,10 +78,6 @@ class OneArmOnly(SslsError):
         super().__init__(f"only one treatment arm present in {where}")
 
 
-class SingularGram(SslsError):
-    pass
-
-
 class NotSPD(SslsError):
     pass
 

@@ -249,24 +249,19 @@ def aggregate_effects(runs: list[GroupEffects]) -> GroupEffects:
     )
 
 
-def _repeated_runs(
+def repeated_ssls(
     d: Dataset, g: Grouping, cfg: SslsConfig, seeds: Optional[list[int]] = None
 ) -> tuple[GroupEffects, NuisanceFit]:
-    """repeated_ssls, also returning the first split's nuisance fit. Split s
-    draws its folds from seeds[s]; by default that is the key of child s of
-    the plan seed's "repeat" stream."""
+    """Medians of single_run over fresh splits, with the first split's nuisance
+    fit. Split s draws its folds from seeds[s], by default the key of child s
+    of the plan seed's "repeat" stream for s < cfg.plan.repeats.
+    ZeroVarianceGroup names a group whose variance is zero in some split."""
     if seeds is None:
         root = Stream(cfg.plan.seed).child("repeat")
         seeds = [root.child(s).key for s in range(cfg.plan.repeats)]
     first, first_fit = single_run(d, g, cfg, seed=seeds[0])
     runs = [first] + [single_run(d, g, cfg, seed=seed)[0] for seed in seeds[1:]]
     return aggregate_effects(runs), first_fit
-
-
-def repeated_ssls(d: Dataset, g: Grouping, cfg: SslsConfig) -> GroupEffects:
-    """Run the pipeline cfg.plan.repeats times on fresh splits, take medians.
-    ZeroVarianceGroup names a group whose variance is zero in some split."""
-    return _repeated_runs(d, g, cfg)[0]
 
 
 def _three_way_split(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -318,8 +313,8 @@ def estimate_dssls(
 
     root = Stream(cfg.plan.seed).child("dssls-estimation")
     seeds = [root.key] + [root.child(s).key for s in range(1, cfg.plan.repeats)]
-    effects, nf = _repeated_runs(d_est, grouping, replace(cfg, propensity_spec=spec_e),
-                                 seeds)
+    effects, nf = repeated_ssls(d_est, grouping, replace(cfg, propensity_spec=spec_e),
+                                seeds)
     return DsslsResult(
         effects=effects,
         nuisance=nf,

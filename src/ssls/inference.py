@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroupEffects
+from .data import GroupEffects, per_row
 from .dists import chisq_quantile, chisq_sf, normal_cdf, normal_quantile
 from .errors import DomainError, ZeroVarianceContrast, ZeroVarianceGroup
 
@@ -73,29 +73,14 @@ class InferenceReport:
         return self.tau_hat.shape[0]
 
     def to_dict(self) -> dict:
+        columns = self.csv_columns()
+        columns["g"] = columns.pop("group")
         return {
             "alpha": self.alpha,
             "z_crit": self.z_crit,
             "q_crit": self.q_crit,
             "n_effective": int(self.n_effective),
-            "groups": [
-                {
-                    "g": g + 1,
-                    "n_g": int(self.n_g[g]),
-                    "estimate": float(self.tau_hat[g]),
-                    "se": float(self.se[g]),
-                    "tau0": float(self.tau0[g]),
-                    "t_stat": float(self.t_stat[g]),
-                    "p_value": float(self.p_value[g]),
-                    "ci_lo": float(self.ci_lo[g]),
-                    "ci_hi": float(self.ci_hi[g]),
-                    "ci_simul_lo": float(self.ci_simul_lo[g]),
-                    "ci_simul_hi": float(self.ci_simul_hi[g]),
-                    "reject_pointwise": bool(self.reject_pointwise[g]),
-                    "reject_simultaneous": bool(self.reject_simul[g]),
-                }
-                for g in range(self.n_groups)
-            ],
+            "groups": per_row({**columns, "tau0": self.tau0}),
         }
 
     def csv_columns(self) -> dict:

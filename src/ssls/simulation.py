@@ -49,6 +49,8 @@ class Dgp1Config:
     def __post_init__(self):
         if self.n < 8:
             raise DomainError("n must be at least 8 to populate four groups")
+        if len(self.tau) != 4:
+            raise DomainError(f"tau must hold 4 effects, one per group, got {len(self.tau)}")
         for name in ("sigma_a", "sigma_y"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0.0):
@@ -302,11 +304,13 @@ def run_power_study(
 ) -> list[PowerPoint]:
     """Rejection rate of the maxT test against alternatives at each L2
     distance from tau0 (random sphere directions); distance 0 is the size.
-    DomainError unless every distance is finite and >= 0."""
+    DomainError unless every distance is finite and >= 0 and tau0 holds
+    DGP1's four effects."""
     run = _replicator(reps, 1, "a rejection rate needs a replicate", workers)
     distances = [float(v) for v in distances]
     if not all(np.isfinite(v) and v >= 0.0 for v in distances):
         raise DomainError(f"distances must be finite and >= 0, got {distances}")
+    Dgp1Config(n=n, tau=tuple(tau0))  # the design is checked before any replicate
     tau0 = np.asarray(tau0, dtype=np.float64)
     points = []
     for point_index, distance in enumerate(distances):

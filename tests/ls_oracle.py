@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ssls.errors import NotSPD, SingularGram
+from ssls.errors import NotSPD, SingularDesign
 from ssls.learners import linear_solve_spd
 
 
@@ -47,7 +47,7 @@ def solve_transformed_ls(t: TransformedSample) -> LsEstimate:
 
     Singularity of the Gram matrix is judged on a relative scale
     (smallest eigenvalue vs. trace/d); a single jitter of 1e-12 * trace is
-    attempted before giving up with SingularGram.
+    attempted before giving up with SingularDesign.
     """
     n, d = t.v_hat.shape
     gram = t.v_hat.T @ t.v_hat / n
@@ -55,7 +55,7 @@ def solve_transformed_ls(t: TransformedSample) -> LsEstimate:
     trace = np.trace(gram)
     eigvals = np.linalg.eigvalsh(gram)
     if eigvals[0] <= 1e-10 * trace / d:
-        raise SingularGram(
+        raise SingularDesign(
             f"gram matrix numerically singular (min eig {eigvals[0]:.3e}, "
             f"trace {trace:.3e})"
         )
@@ -75,7 +75,14 @@ def solve_transformed_ls(t: TransformedSample) -> LsEstimate:
     return LsEstimate(beta_hat=beta, sigma_hat=sigma, gram=gram, residuals=residuals)
 
 
+def indicator(g) -> np.ndarray:
+    """The N x G 0/1 membership matrix of grouping g."""
+    out = np.zeros((g.n, g.n_groups))
+    out[np.arange(g.n), g.labels - 1] = 1.0
+    return out
+
+
 def transformed_sample_from_nuisance(d, g, nf) -> TransformedSample:
     """Robinson-transformed variables for the generic LS engine."""
-    v_hat = (d.a - nf.e_hat)[:, None] * g.indicator()
+    v_hat = (d.a - nf.e_hat)[:, None] * indicator(g)
     return TransformedSample(z_hat=d.y - nf.m_hat, v_hat=v_hat)

@@ -240,7 +240,8 @@ def test_bad_plan_setting_exit_2_before_fitting(toy_csv, blob_csv, tmp_path, cap
     assert list(out.glob("*")) == []
 
 
-_SMOOTHER_FLAGS = ("--bandwidth", "--grid-size", "--flag-multiplier", "--diag-covariate")
+_ESTIMATE_ONLY_FLAGS = ("--group", "--bandwidth", "--grid-size", "--flag-multiplier",
+                        "--diag-covariate")
 _SETTINGS_NAMED = [
     ("--folds", "1", "n_folds"),
     ("--repeats", "0", "repeats"),
@@ -261,6 +262,7 @@ _SETTINGS_NAMED = [
       for case in _SETTINGS_NAMED],
     ("discover", "--groups", "1", "n_groups"),
     ("discover", "--min-group-size", "0", "min_group_size"),
+    ("discover", "--group", "4", None),
 ])
 def test_bad_setting_named_before_the_csv_is_read(tmp_path, capsys, command, flag,
                                                   value, named):
@@ -268,9 +270,10 @@ def test_bad_setting_named_before_the_csv_is_read(tmp_path, capsys, command, fla
     args = [command, "--data", str(missing), "--outcome", "y", "--treatment", "a",
             "--covariates", "x1", "--out-dir", str(tmp_path / "out"),
             *(["--groups", "2"] if command == "discover" else ["--group", "grp"])]
-    if command == "discover" and flag in _SMOOTHER_FLAGS:
-        # discover runs no smoother, so it takes none of its flags, on the
-        # command line or from a config file
+    if command == "discover" and flag in _ESTIMATE_ONLY_FLAGS:
+        # discover finds its own groups and runs no smoother, so it takes
+        # neither --group nor a smoother flag, on the command line or from a
+        # config file
         config = tmp_path / "config.json"
         config.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
         for argv in ([*args, flag, value], ["--config", str(config), *args]):
@@ -285,6 +288,19 @@ def test_bad_setting_named_before_the_csv_is_read(tmp_path, capsys, command, fla
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert "missing.csv" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "diagnose"])
+def test_estimate_without_group_exits_2_before_the_csv_is_read(tmp_path, capsys, command):
+    args = estimate_args(tmp_path / "missing.csv", tmp_path / "out")
+    args[0] = command
+    del args[args.index("--group"):args.index("--group") + 2]
+    with pytest.raises(SystemExit) as exit_:
+        main(args)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "required: --group" in err and "missing.csv" not in err
     assert not (tmp_path / "out").exists()
 
 

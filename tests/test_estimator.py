@@ -228,12 +228,14 @@ def test_sigma_positive_with_residual_variation():
 def test_repeats_single_is_identity():
     d, g, truth = draw_dgp1(Dgp1Config(n=200), stream=Stream(7).child("d"))
     cfg = oracle_cfg(truth, seed=8, repeats=1)
-    once = repeated_ssls(d, g, cfg)
+    once, once_fit = repeated_ssls(d, g, cfg)
     seed0 = Stream(8).child("repeat").child(0).key
     fold_of = make_crossfit_plan(d.n, cfg.plan, grouping=g, seed=seed0)
     nf = crossfit_nuisance(d, cfg, g, fold_of=fold_of)
     direct = estimate_ssls(d, g, nf)
     assert np.array_equal(once.tau_hat, direct.tau_hat)
+    assert np.array_equal(once_fit.m_hat, nf.m_hat)
+    assert np.array_equal(once_fit.fold_of, fold_of)
 
 
 def test_repeats_reject_non_finite_outcome():
@@ -265,8 +267,8 @@ def test_repeats_median_aggregation():
 def test_repeats_deterministic():
     d, g, truth = draw_dgp1(Dgp1Config(n=150), stream=Stream(9).child("d"))
     cfg = oracle_cfg(truth, seed=11, repeats=5)
-    a = repeated_ssls(d, g, cfg)
-    b = repeated_ssls(d, g, cfg)
+    a, _ = repeated_ssls(d, g, cfg)
+    b, _ = repeated_ssls(d, g, cfg)
     assert np.array_equal(a.tau_hat, b.tau_hat)
     assert np.array_equal(a.sigma_gg_hat, b.sigma_gg_hat)
 
@@ -279,8 +281,8 @@ def test_repeats_stabilize_estimates():
         d, g, truth = draw_dgp1(Dgp1Config(n=1000), stream=Stream(100 + rep).child("d"))
         cfg1 = oracle_cfg(truth, seed=rep, repeats=1)
         cfg25 = oracle_cfg(truth, seed=rep, repeats=25)
-        singles.append(repeated_ssls(d, g, cfg1).tau_hat[0])
-        medians.append(repeated_ssls(d, g, cfg25).tau_hat[0])
+        singles.append(repeated_ssls(d, g, cfg1)[0].tau_hat[0])
+        medians.append(repeated_ssls(d, g, cfg25)[0].tau_hat[0])
     assert np.std(medians) <= np.std(singles)
 
 
@@ -414,9 +416,9 @@ def test_outcome_scale_equivariance():
     for seed in range(5):
         d, g, _ = draw_dgp1(Dgp1Config(n=400), stream=Stream(700 + seed).child("d"))
         cfg = SslsConfig(OlsSpec(), LogisticSpec(), CrossFitPlan(seed=seed, repeats=3))
-        base = repeated_ssls(d, g, cfg)
+        base, _ = repeated_ssls(d, g, cfg)
         for c in (-3.0, 0.5, 7.0):
-            scaled = repeated_ssls(Dataset(c * d.y, d.a, d.x), g, cfg)
+            scaled, _ = repeated_ssls(Dataset(c * d.y, d.a, d.x), g, cfg)
             assert np.allclose(scaled.tau_hat, c * base.tau_hat, rtol=1e-9, atol=0.0)
             assert np.allclose(scaled.se(), abs(c) * base.se(), rtol=1e-9, atol=0.0)
 
@@ -430,8 +432,8 @@ def test_group_label_permutation_equivariance():
         perm = Stream(seed).child("perm").permutation(g.n_groups)
         renamed = Grouping(perm[g.labels - 1] + 1, g.n_groups)
         cfg = SslsConfig(OlsSpec(), LogisticSpec(), CrossFitPlan(seed=seed))
-        base = repeated_ssls(d, g, cfg)
-        moved = repeated_ssls(d, renamed, cfg)
+        base, _ = repeated_ssls(d, g, cfg)
+        moved, _ = repeated_ssls(d, renamed, cfg)
         assert np.array_equal(moved.tau_hat[perm], base.tau_hat)
         assert np.array_equal(moved.se()[perm], base.se())
 

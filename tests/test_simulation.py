@@ -215,9 +215,10 @@ def test_studies_reject_undefined_statistics_and_bad_workers(study, kw, argv, me
 
 
 # A setting outside a study's domain is named before any replicate runs: a
-# negative or non-finite power distance or random-effect scale, an empty
-# learner list, and the reps and workers checks on an empty grid. The CLI,
-# where it takes the setting, exits 2 and writes nothing.
+# negative or non-finite power distance or random-effect scale, a tau0 that
+# is not DGP1's four effects, an empty learner list, a list item that is not
+# a number, and the reps and workers checks on an empty grid. The CLI, where
+# it takes the setting, exits 2 and writes nothing.
 @pytest.mark.parametrize("study, kw, argv, message", [
     (run_power_study, dict(distances=[0.0, -1.0]),
      ["--study", "power", "--distances", "0,-1"], "distances must be finite and >= 0"),
@@ -237,6 +238,16 @@ def test_studies_reject_undefined_statistics_and_bad_workers(study, kw, argv, me
     (run_calibration_study, dict(cells=[], workers=0), None, "workers must be >= 1"),
     (run_power_study, dict(distances=[], workers=0), None, "workers must be >= 1"),
     (run_robustness_study, dict(n_grid=[], reps=0), None, "reps must be >= 2"),
+    (run_power_study, dict(tau0=(1.0, 2.0, 3.0), distances=[0.0]), None,
+     "tau must hold 4 effects, one per group, got 3"),
+    (run_power_study, dict(tau0=(1.0, 2.0, 3.0, 4.0, 5.0), distances=[0.0]), None,
+     "tau must hold 4 effects, one per group, got 5"),
+    (None, None, ["--study", "calibration", "--sigma-a", "0,,1"],
+     "--sigma-a '0,,1': could not convert string to float: ''"),
+    (None, None, ["--study", "calibration", "--sigma-y", "0,x"],
+     "--sigma-y '0,x': could not convert string to float: 'x'"),
+    (None, None, ["--study", "power", "--distances", "0,1,2;3"],
+     "--distances '0,1,2;3': could not convert string to float: '2;3'"),
 ])
 def test_studies_reject_bad_settings_before_any_replicate(study, kw, argv, message,
                                                           tmp_path, capsys, monkeypatch):

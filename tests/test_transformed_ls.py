@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ssls.errors import NotSPD, SingularGram
+from ssls.errors import NotSPD, SingularDesign
 from ssls.rng import Stream
 from ssls.learners import linear_solve_spd
 from ls_oracle import TransformedSample, solve_transformed_ls
@@ -93,7 +93,7 @@ def test_sandwich_psd():
 def test_singular_gram():
     v = np.zeros((10, 2))
     v[:, 0] = 1.0  # second column identically zero
-    with pytest.raises(SingularGram):
+    with pytest.raises(SingularDesign):
         solve_transformed_ls(make_sample(np.ones(10), v))
 
 
