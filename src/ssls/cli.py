@@ -229,27 +229,25 @@ def _report(args, covariates, effects, inference, y, nf, **extra) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    """estimate, also run as diagnose: one cross-fitted run, then report.json,
-    groups.csv, the residual CSVs and flags.json, all computed before the
-    first is written."""
+    """estimate, also run as diagnose: one cross-fitted run, then report.json
+    with its diagnostics block, groups.csv and the residual CSVs, all
+    computed before the first is written."""
     dataset, grouping, mapping, covariates, cfg = _load(args, estimate=True)
     contrast = (_load_contrast(args.contrast, grouping.n_groups)
                 if args.contrast else None)
     effects, nf0 = repeated_ssls(dataset, grouping, cfg)
     report = simultaneous_cis(effects, alpha=args.alpha)
-    extra = {"group_relabeling": {str(k): v for k, v in mapping.items()}}
-    if contrast is not None:
-        glh = glh_test(effects, contrast, alpha=args.alpha)
-        extra["contrast_test"] = {name: getattr(glh, name) for name in
-                                  ("statistic", "rank", "p_value", "critical_value", "reject")}
-    payload = _report(args, covariates, effects, report, dataset.y, nf0, **extra)
     xcol = covariate_column(dataset, args.diag_covariate)
     span = float(xcol.max() - xcol.min())
     bandwidth = args.bandwidth if args.bandwidth is not None else max(0.05 * span, 1e-12)
     series = residual_series(effects, dataset, covariate_index=args.diag_covariate,
                              bandwidth=bandwidth, grid_size=args.grid_size)
-    flags = {
-        "command": args.command,
+    extra = {"group_relabeling": {str(k): v for k, v in mapping.items()}}
+    if contrast is not None:
+        glh = glh_test(effects, contrast, alpha=args.alpha)
+        extra["contrast_test"] = {name: getattr(glh, name) for name in
+                                  ("statistic", "rank", "p_value", "critical_value", "reject")}
+    extra["diagnostics"] = {
         "covariate_index": args.diag_covariate,
         "bandwidth": bandwidth,
         "flag_multiplier": args.flag_multiplier,
@@ -257,8 +255,8 @@ def cmd_estimate(args) -> int:
             str(arm): [[lo, hi] for lo, hi in flag_regions(rs, args.flag_multiplier)]
             for arm, rs in series.items()
         },
-        "nuisance_quality": payload["nuisance_quality"],
     }
+    payload = _report(args, covariates, effects, report, dataset.y, nf0, **extra)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -267,7 +265,6 @@ def cmd_estimate(args) -> int:
     for name, columns in _residual_tables("", xcol, effects.residuals, dataset.a,
                                           grouping.labels, series).items():
         write_csv(out_dir / name, columns)
-    write_json(out_dir / "flags.json", flags)
     print(f"wrote {out_dir}/report.json with {effects.n_groups} groups", file=sys.stderr)
     return 0
 

@@ -90,8 +90,7 @@ class GroupEffects:
 
     ``sigma_gg_hat`` is the variance of sqrt(n_effective) * (tau_hat - tau),
     i.e. pre-division by the sample size; standard errors are
-    sqrt(sigma_gg_hat / n_effective). ``denominators`` stores the raw
-    per-group sums of squared treatment residuals that scale the estimator.
+    sqrt(sigma_gg_hat / n_effective).
     """
 
     tau_hat: np.ndarray
@@ -99,7 +98,6 @@ class GroupEffects:
     n_g: np.ndarray
     n_effective: int
     residuals: np.ndarray
-    denominators: np.ndarray
 
     @property
     def n_groups(self) -> int:

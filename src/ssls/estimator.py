@@ -5,6 +5,8 @@ complement, evaluate them out-of-fold, orthogonalize (y - m_hat against
 a - e_hat), and run groupwise least squares on the indicator design. The
 closed form below is numerically identical to generic least squares with a
 sandwich covariance applied to v = (a - e_hat) * group indicators.
+repeated_ssls is the one split-and-estimate step: estimate, discover (through
+estimate_dssls) and every Monte-Carlo replicate run it.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ from .rng import Stream
 # outcome and a logistic propensity took 1.30 times the serial time forked
 # at 75 training rows, 1.03 at 100 and 0.76 at 150.
 _MIN_FORKED_WORK = 15_000
+
+# Rounding units of the outcome's scale within which a standard error is zero.
+_ROUNDING_SE = 64
 
 
 @dataclass(frozen=True)
@@ -187,6 +192,13 @@ def estimate_ssls(d: Dataset, g: Grouping, nf: NuisanceFit) -> GroupEffects:
 
     tau_hat_g = sum_{i in g} (y_i - m_i)(a_i - e_i) / sum_{i in g} (a_i - e_i)^2
     sigma_gg = [mean of resid^2 (a-e)^2 over g] / [mean of (a-e)^2 over g]^2
+
+    A sigma_gg whose standard error sqrt(sigma_gg / n) is at most
+    _ROUNDING_SE = 64 times eps * max|y| (eps the float64 machine epsilon) is
+    returned as 0, which check_variances rejects: every residual is rounded
+    at the outcome's scale, so such a variance is rounding, not noise. On
+    DGP1 with an exactly constant outcome it stayed below 0.8 eps * max|y|
+    with ols, ridge, cart and gbm outcome models.
     """
     validate_dataset(d, g)
     n = d.n
@@ -194,14 +206,16 @@ def estimate_ssls(d: Dataset, g: Grouping, nf: NuisanceFit) -> GroupEffects:
     r_a = d.a - nf.e_hat
     labels0 = g.labels - 1
     n_groups = g.n_groups
-    denominators = np.bincount(labels0, weights=r_a * r_a, minlength=n_groups)
-    for idx in np.flatnonzero(denominators <= 1e-12):
-        raise DegenerateGroup(int(idx) + 1, float(denominators[idx]))
-    numerators = np.bincount(labels0, weights=r_y * r_a, minlength=n_groups)
-    tau_hat = numerators / denominators
+    den = np.bincount(labels0, weights=r_a * r_a, minlength=n_groups)
+    for idx in np.flatnonzero(den <= 1e-12):
+        raise DegenerateGroup(int(idx) + 1, float(den[idx]))
+    num = np.bincount(labels0, weights=r_y * r_a, minlength=n_groups)
+    tau_hat = num / den
     residuals = r_y - r_a * tau_hat[labels0]
     meat = np.bincount(labels0, weights=residuals**2 * r_a**2, minlength=n_groups)
-    sigma_gg = (meat / n) / (denominators / n) ** 2
+    sigma_gg = (meat / n) / (den / n) ** 2
+    rounding_se = _ROUNDING_SE * np.finfo(np.float64).eps * np.abs(d.y).max()
+    sigma_gg[sigma_gg / n <= rounding_se**2] = 0.0
     n_g = np.bincount(labels0, minlength=n_groups)
     return GroupEffects(
         tau_hat=tau_hat,
@@ -209,18 +223,7 @@ def estimate_ssls(d: Dataset, g: Grouping, nf: NuisanceFit) -> GroupEffects:
         n_g=n_g.astype(np.int64),
         n_effective=n,
         residuals=residuals,
-        denominators=denominators,
     )
-
-
-def single_run(
-    d: Dataset, g: Grouping, cfg: SslsConfig, seed: int
-) -> tuple[GroupEffects, NuisanceFit]:
-    """One split: folds of cfg.plan drawn from seed, cross-fitted nuisances,
-    the closed form, and ZeroVarianceGroup for a group with no variance."""
-    fold_of = make_crossfit_plan(d.n, cfg.plan, grouping=g, seed=seed)
-    nf = crossfit_nuisance(d, cfg, grouping=g, fold_of=fold_of)
-    return check_variances(estimate_ssls(d, g, nf)), nf
 
 
 def aggregate_effects(runs: list[GroupEffects]) -> GroupEffects:
@@ -237,7 +240,6 @@ def aggregate_effects(runs: list[GroupEffects]) -> GroupEffects:
     tau = np.median(np.stack([r.tau_hat for r in runs]), axis=0)
     sigma = np.median(np.stack([r.sigma_gg_hat for r in runs]), axis=0)
     resid = np.median(np.stack([r.residuals for r in runs]), axis=0)
-    denom = np.median(np.stack([r.denominators for r in runs]), axis=0)
     first = runs[0]
     return GroupEffects(
         tau_hat=tau,
@@ -245,22 +247,31 @@ def aggregate_effects(runs: list[GroupEffects]) -> GroupEffects:
         n_g=first.n_g,
         n_effective=first.n_effective,
         residuals=resid,
-        denominators=denom,
     )
 
 
 def repeated_ssls(
     d: Dataset, g: Grouping, cfg: SslsConfig, seeds: Optional[list[int]] = None
 ) -> tuple[GroupEffects, NuisanceFit]:
-    """Medians of single_run over fresh splits, with the first split's nuisance
-    fit. Split s draws its folds from seeds[s], by default the key of child s
-    of the plan seed's "repeat" stream for s < cfg.plan.repeats.
+    """The split-and-estimate step of every pipeline and study: for each seed
+    in turn, draw the folds of cfg.plan from it, cross-fit, take the closed
+    form and check its variances, then return the component-wise medians
+    (one split's effects unchanged) with the first split's nuisance fit.
+    seeds defaults to the keys of children 0..cfg.plan.repeats-1 of the plan
+    seed's "repeat" stream. DomainError for an empty seed list;
     ZeroVarianceGroup names a group whose variance is zero in some split."""
     if seeds is None:
         root = Stream(cfg.plan.seed).child("repeat")
         seeds = [root.child(s).key for s in range(cfg.plan.repeats)]
-    first, first_fit = single_run(d, g, cfg, seed=seeds[0])
-    runs = [first] + [single_run(d, g, cfg, seed=seed)[0] for seed in seeds[1:]]
+    if not seeds:
+        raise DomainError("repeated_ssls needs at least one split seed, got an empty list")
+    runs = []
+    for seed in seeds:
+        fold_of = make_crossfit_plan(d.n, cfg.plan, grouping=g, seed=seed)
+        nf = crossfit_nuisance(d, cfg, grouping=g, fold_of=fold_of)
+        if not runs:
+            first_fit = nf
+        runs.append(check_variances(estimate_ssls(d, g, nf)))
     return aggregate_effects(runs), first_fit
 
 

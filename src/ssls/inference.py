@@ -96,9 +96,9 @@ class InferenceReport:
 def check_variances(effects: GroupEffects) -> GroupEffects:
     """effects, or ZeroVarianceGroup naming the first group whose
     sigma_gg_hat is not positive and finite, so that no interval or test
-    exists for it. estimate_ssls returns the closed form, zeros included;
-    the pipelines whose output feeds inference, and simultaneous_cis itself,
-    check it here."""
+    exists for it. estimate_ssls returns the closed form, with a variance
+    that is rounding at the outcome's scale set to zero; repeated_ssls, and
+    simultaneous_cis itself, check it here."""
     for g, sigma in enumerate(effects.sigma_gg_hat.tolist(), start=1):
         if not 0.0 < sigma < math.inf:
             raise ZeroVarianceGroup(g, sigma)

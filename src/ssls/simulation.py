@@ -3,10 +3,10 @@
 Every study derives one independent stream per repetition from
 (seed, study, cell, rep), so results are identical no matter how reps are
 scheduled: they are jobs of parallel.fork_join on `workers` processes, by
-default the usable CPUs. Each replicate runs estimator.single_run, the
-pipelines' own split-and-estimate step. The diagnostic study analyzes each
-draw under both the correct and the misspecified grouping, which share one
-cross-fit of the nuisances.
+default the usable CPUs. Each replicate runs estimator.repeated_ssls on one
+split, the split-and-estimate step of estimate and discover. The diagnostic
+study analyzes each draw under both the correct and the misspecified
+grouping, which share one cross-fit of the nuisances.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .data import CrossFitPlan, Dataset, Grouping
 from .diagnostics import flag_regions, flagged_fraction, residual_series
 from .errors import DomainError
-from .estimator import SslsConfig, estimate_ssls, single_run
+from .estimator import SslsConfig, estimate_ssls, repeated_ssls
 from .inference import maxt_critical, simultaneous_cis
 from .learners import KnownPropensity, OlsSpec, learner_spec
 from .parallel import check_workers, fork_join
@@ -170,37 +170,12 @@ def draw_dgp_diag(cfg: DgpDiagConfig, stream: Optional[Stream] = None):
     return Dataset(y, a, x[:, None]), groupings, truth
 
 
-@dataclass(frozen=True)
-class BlobConfig:
-    """Two well-separated Gaussian blobs in the plane with groupwise effects;
-    the spacing is in units of the within-blob standard deviation."""
-
-    n: int = 900
-    spacing: float = 7.0
-    tau: tuple = (1.0, 3.0)
-    treat_prob: float = 0.5
-    seed: int = 0
-
-
-def draw_blobs(cfg: BlobConfig, stream: Optional[Stream] = None):
-    s = stream if stream is not None else Stream(cfg.seed).child("blobs")
-    n = cfg.n
-    blob = s.child("blob").bernoulli(0.5, n)
-    x = s.child("x").normal(2 * n).reshape(n, 2) + cfg.spacing * blob[:, None]
-    a = s.child("a").bernoulli(cfg.treat_prob, n).astype(np.float64)
-    tau = np.asarray(cfg.tau, dtype=np.float64)
-    y = 0.5 * x[:, 0] + tau[blob] * a + s.child("eps").normal(n)
-    labels = (blob + 1).astype(np.int64)
-    grouping = Grouping(labels, 2)
-    return Dataset(y, a, x), grouping, tau
-
-
 # ---------------------------------------------------------------------------
 # Study plumbing
 
 
 # Every replicate cross-fits on the plan's default two unstratified folds,
-# which single_run draws from the replicate's own "plan" stream.
+# which repeated_ssls draws from the replicate's own "plan" stream.
 _REP_PLAN = CrossFitPlan()
 
 
@@ -215,12 +190,12 @@ def _replicator(reps: int, least: int, why: str, workers: Optional[int]):
     return lambda root, rep: fork_join(lambda r: rep(root.child(r)), reps, workers)
 
 
-def _single_run(d: Dataset, grouping: Grouping, learner: str, truth, stream: Stream):
-    """single_run with the outcome and propensity specs that `learner` names,
-    on _REP_PLAN's folds drawn from stream's "plan" child."""
+def _one_split(d: Dataset, grouping: Grouping, learner: str, truth, stream: Stream):
+    """repeated_ssls on one split, with the outcome and propensity specs that
+    `learner` names, on _REP_PLAN's folds drawn from stream's "plan" child."""
     cfg = SslsConfig(learner_spec(learner, "outcome", truth),
                      learner_spec(learner, "propensity", truth), _REP_PLAN)
-    return single_run(d, grouping, cfg, seed=stream.child("plan").key)
+    return repeated_ssls(d, grouping, cfg, [stream.child("plan").key])
 
 
 @dataclass(frozen=True)
@@ -250,7 +225,7 @@ def run_calibration_study(
 ) -> list[StudyResult]:
     """Monte-Carlo bias/ESE/ASE/coverage over (learner, sigma_a, sigma_y) cells."""
     run = _replicator(reps, 2, "the ESE needs a spread", workers)
-    # every cell's design is checked before the first replicate runs
+    maxt_critical(alpha, 4)  # alpha and every cell's design are checked first
     designs = [(learner, Dgp1Config(n=n, sigma_a=sa, sigma_y=sy))
                for learner, sa, sy in cells]
     results = []
@@ -258,7 +233,7 @@ def run_calibration_study(
         t0 = time.perf_counter()
         def rep(stream):
             d, grouping, truth = draw_dgp1(dgp, stream=stream.child("data"))
-            ge, _ = _single_run(d, grouping, learner, truth, stream)
+            ge, _ = _one_split(d, grouping, learner, truth, stream)
             report = simultaneous_cis(ge, alpha=alpha)
             covers = bool(np.all((report.ci_simul_lo <= truth.tau)
                                  & (truth.tau <= report.ci_simul_hi)))
@@ -304,13 +279,14 @@ def run_power_study(
 ) -> list[PowerPoint]:
     """Rejection rate of the maxT test against alternatives at each L2
     distance from tau0 (random sphere directions); distance 0 is the size.
-    DomainError unless every distance is finite and >= 0 and tau0 holds
-    DGP1's four effects."""
+    DomainError, before any replicate runs, unless every distance is finite
+    and >= 0, tau0 holds DGP1's four effects and alpha is a usable level."""
     run = _replicator(reps, 1, "a rejection rate needs a replicate", workers)
     distances = [float(v) for v in distances]
     if not all(np.isfinite(v) and v >= 0.0 for v in distances):
         raise DomainError(f"distances must be finite and >= 0, got {distances}")
-    Dgp1Config(n=n, tau=tuple(tau0))  # the design is checked before any replicate
+    Dgp1Config(n=n, tau=tuple(tau0))  # the design and alpha are checked first
+    maxt_critical(alpha, len(tau0))
     tau0 = np.asarray(tau0, dtype=np.float64)
     points = []
     for point_index, distance in enumerate(distances):
@@ -321,9 +297,8 @@ def run_power_study(
                 tau_alt = tau0 + distance * (direction / np.linalg.norm(direction))
             d, grouping, truth = draw_dgp1(Dgp1Config(n=n, tau=tuple(tau_alt)),
                                            stream=stream.child("data"))
-            ge, _ = _single_run(d, grouping, learner, truth, stream)
-            t_stats = (ge.tau_hat - tau0) / ge.se()
-            return bool(np.max(np.abs(t_stats)) > maxt_critical(alpha, len(tau0)))
+            ge, _ = _one_split(d, grouping, learner, truth, stream)
+            return bool(simultaneous_cis(ge, alpha, tau0).reject_simul.any())
 
         rejections = run(Stream(seed).child("power").child(point_index), rep)
         points.append(PowerPoint(distance=distance,
@@ -372,8 +347,8 @@ def run_robustness_study(
             y = (1.0 + x[:, 0] + x[:, 1] + a * (tau[labels - 1] + delta)
                  + stream.child("eps").normal(n))
             cfg = SslsConfig(OlsSpec(), KnownPropensity(e_true), _REP_PLAN)
-            ge, _ = single_run(Dataset(y, a, x), Grouping(labels, 2), cfg,
-                               seed=stream.child("plan").key)
+            ge, _ = repeated_ssls(Dataset(y, a, x), Grouping(labels, 2), cfg,
+                                  [stream.child("plan").key])
             return ge.tau_hat - tau
 
         errors = np.stack(run(Stream(seed).child("robustness")
@@ -417,7 +392,7 @@ def run_diagnostic_once(
     stream = Stream(seed).child("diag-study")
     d, groupings, truth = draw_dgp_diag(DgpDiagConfig(n=n, seed=seed),
                                         stream=stream.child("data"))
-    ge, nf = _single_run(d, groupings["correct"], learner, truth, stream)
+    ge, nf = _one_split(d, groupings["correct"], learner, truth, stream)
     effects = {"correct": ge,
                "misspecified": estimate_ssls(d, groupings["misspecified"], nf)}
     runs = {}

@@ -39,8 +39,7 @@ _DISCOVER = ["discover", *_DATA, "--groups", "4"]
 _ESTIMATE = ["estimate", *_DATA, "--group", "g"]
 _SIMULATE = ["simulate", "--seed", "0", "--study"]
 _DISCOVERED = ("report.json", "groups.csv", "centroids.csv")
-_ESTIMATED = ("report.json", "groups.csv", "residuals_raw.csv", "residuals_smooth.csv",
-              "flags.json")
+_ESTIMATED = ("report.json", "groups.csv", "residuals_raw.csv", "residuals_smooth.csv")
 # Each run's arguments and the files of its output folder that are compared.
 RUNS = {
     "discover-ols": ([*_DISCOVER, "--learner-y", "ols"], _DISCOVERED),

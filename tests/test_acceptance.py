@@ -27,13 +27,12 @@ from ssls.inference import (
 from ssls.learners import KnownPropensity, OlsSpec
 from ssls.rng import Stream
 from ssls.simulation import (
-    BlobConfig,
-    draw_blobs,
     run_diagnostic_study,
     run_power_study,
     run_calibration_study,
     run_robustness_study,
 )
+from blobs import BlobConfig, draw_blobs
 from ls_oracle import solve_transformed_ls, transformed_sample_from_nuisance
 from ssls.data import GroupEffects
 
@@ -257,7 +256,6 @@ def test_criterion_10_glh_size():
             n_g=np.ones(n_groups, dtype=np.int64),
             n_effective=1,
             residuals=np.zeros(n_groups),
-            denominators=np.ones(n_groups),
         )
         res = glh_test(ge, contrast, alpha=0.05)
         rank_seen.add(res.rank)

@@ -13,7 +13,8 @@ from ssls.data import CrossFitPlan, Grouping, load_csv, make_crossfit_plan
 from ssls.estimator import SslsConfig, _three_way_split
 from ssls.learners import KnownPropensity, OlsSpec
 from ssls.rng import Stream
-from ssls.simulation import BlobConfig, Dgp1Config, draw_blobs, draw_dgp1
+from ssls.simulation import Dgp1Config, draw_dgp1
+from blobs import BlobConfig, draw_blobs
 
 
 @pytest.fixture
@@ -501,16 +502,16 @@ def test_diagnose_outputs(toy_csv, tmp_path):
         args[0] = command
         assert main(args) == 0
         outputs[command] = {f.name: f.read_text() for f in (tmp_path / command).iterdir()}
-    assert sorted(outputs["diagnose"]) == ["flags.json", "groups.csv", "report.json",
+    assert sorted(outputs["diagnose"]) == ["groups.csv", "report.json",
                                            "residuals_raw.csv", "residuals_smooth.csv"]
     for name, text in outputs["estimate"].items():
         assert outputs["diagnose"][name] == text.replace('"command": "estimate"',
                                                          '"command": "diagnose"')
-    assert "contrast_test" in json.loads(outputs["diagnose"]["report.json"])
-    flags = json.loads(outputs["diagnose"]["flags.json"])
-    assert list(flags) == ["bandwidth", "command", "covariate_index", "flag_multiplier",
-                           "flagged_regions", "nuisance_quality"]
-    assert flags["command"] == "diagnose"
+    report = json.loads(outputs["diagnose"]["report.json"])
+    assert "contrast_test" in report
+    assert list(report["diagnostics"]) == ["bandwidth", "covariate_index",
+                                           "flag_multiplier", "flagged_regions"]
+    assert report["command"] == "diagnose"
 
 
 def test_estimate_flag_multiplier_takes_effect(dgp1_csv, tmp_path):
@@ -521,7 +522,7 @@ def test_estimate_flag_multiplier_takes_effect(dgp1_csv, tmp_path):
                      "--treatment", "a", "--group", "g", "--covariates", "x1,x2,x3",
                      "--learner-y", "ols", "--flag-multiplier", multiplier,
                      "--out-dir", str(out)]) == 0
-        flags = json.loads((out / "flags.json").read_text())
+        flags = json.loads((out / "report.json").read_text())["diagnostics"]
         assert flags["flag_multiplier"] == float(multiplier)
         regions[multiplier] = flags["flagged_regions"]
     assert regions["1e9"] == {"0": [], "1": []}
@@ -613,7 +614,6 @@ def test_nuisance_quality_reads_the_split0_fit(dgp1_csv, tmp_path, monkeypatch,
     assert len(calls) == 3  # one cross-fit per repeat, none refitted
     quality = json.loads((out / "report.json").read_text())["nuisance_quality"]
     assert quality["outcome_oof_mse"] == expected
-    assert json.loads((out / "flags.json").read_text())["nuisance_quality"] == quality
 
 
 def test_estimate_zero_variance_group_exit_2(dgp1_csv, tmp_path, capsys):

@@ -10,7 +10,7 @@ from ssls.cli import main
 from ssls.data import CrossFitPlan, Dataset, GroupEffects
 from ssls.diagnostics import flag_regions, flagged_fraction, residual_series
 from ssls.errors import DomainError, EmptyArm
-from ssls.estimator import SslsConfig, single_run
+from ssls.estimator import SslsConfig, repeated_ssls
 from ssls.learners import LogisticSpec, OlsSpec
 from ssls.rng import Stream
 from ssls.simulation import run_diagnostic_once, run_diagnostic_study
@@ -23,7 +23,6 @@ def make_effects(residuals, n):
         n_g=np.array([n]),
         n_effective=n,
         residuals=np.asarray(residuals, dtype=float),
-        denominators=np.array([1.0]),
     )
 
 
@@ -137,7 +136,7 @@ def test_shared_nuisances_equal_a_separate_fit_per_grouping():
     seed = Stream(5).child("diag-study").child("plan").key
     cfg = SslsConfig(OlsSpec(), LogisticSpec(), CrossFitPlan(n_folds=2))
     for run in runs.values():
-        ge, _ = single_run(run.dataset, run.grouping, cfg, seed=seed)
+        ge, _ = repeated_ssls(run.dataset, run.grouping, cfg, [seed])
         assert np.array_equal(ge.residuals, run.residuals)
 
 

@@ -13,6 +13,7 @@ from ssls.data import CrossFitPlan, Dataset, GroupEffects, Grouping, make_crossf
 from ssls.errors import (
     ClusteringDegenerate,
     DegenerateGroup,
+    DomainError,
     FoldsNotPartition,
     LengthMismatch,
     NonConvergenceWarning,
@@ -41,7 +42,8 @@ from ssls.learners import (
 )
 from ssls.estimator import NuisanceFit
 from ssls.rng import Stream
-from ssls.simulation import BlobConfig, Dgp1Config, draw_blobs, draw_dgp1
+from ssls.simulation import Dgp1Config, draw_dgp1
+from blobs import BlobConfig, draw_blobs
 from ls_oracle import solve_transformed_ls, transformed_sample_from_nuisance
 
 
@@ -163,7 +165,8 @@ def test_estimate_hand_example():
                      fold_of=np.zeros(4, dtype=int))
     ge = estimate_ssls(d, g, nf)
     assert ge.tau_hat[0] == pytest.approx(1.0, abs=1e-12)
-    assert ge.denominators[0] == pytest.approx(1.0)
+    # every residual is 0.5: sigma = (0.5^2 * 0.25) / 0.25^2
+    assert ge.sigma_gg_hat[0] == pytest.approx(1.0)
     assert ge.n_effective == 4
 
 
@@ -221,7 +224,8 @@ def test_sigma_positive_with_residual_variation():
     labels0 = g.labels - 1
     r_a = d.a - nf.e_hat
     meat = np.bincount(labels0, weights=ge.residuals**2 * r_a**2, minlength=4)
-    recon = (meat / d.n) / (ge.denominators / d.n) ** 2
+    den = np.bincount(labels0, weights=r_a**2, minlength=4)
+    recon = (meat / d.n) / (den / d.n) ** 2
     assert np.allclose(recon, ge.sigma_gg_hat, rtol=1e-12)
 
 
@@ -255,7 +259,6 @@ def test_repeats_median_aggregation():
             n_g=np.array([4]),
             n_effective=4,
             residuals=np.full(4, tau),
-            denominators=np.array([1.0]),
         )
 
     agg = aggregate_effects([fake(1.0), fake(2.0), fake(100.0)])
@@ -466,6 +469,55 @@ def test_constant_outcome_names_the_zero_variance_group():
     # (criterion 06 compares it with the generic engine on one-row groups)
     nf = crossfit_nuisance(Dataset(y, d.a, d.x), cfg, g)
     assert estimate_ssls(Dataset(y, d.a, d.x), g, nf).sigma_gg_hat[2] == 0.0
+
+
+@pytest.mark.parametrize("learner_y", [OlsSpec(), GbmSpec()], ids=["ols", "gbm"])
+def test_a_standard_error_at_rounding_level_is_zero(learner_y):
+    # ols fits a constant 3.0 only up to rounding, which left standard
+    # errors of about 0.1 eps * 3 and a t-statistic of 3.6 in group 1; gbm
+    # fits it exactly. Both now name group 1.
+    d, g, _ = draw_dgp1(Dgp1Config(n=400), stream=Stream(1).child("d"))
+    cfg = SslsConfig(learner_y, LogisticSpec(), CrossFitPlan(seed=3))
+    with pytest.raises(ZeroVarianceGroup) as err:
+        repeated_ssls(Dataset(np.full(d.n, 3.0), d.a, d.x), g, cfg)
+    assert (err.value.group, err.value.variance) == (1, 0.0)
+    # unit noise on an offset of 1e6 is far above rounding at that scale
+    base, _ = repeated_ssls(d, g, cfg)
+    shifted, _ = repeated_ssls(Dataset(d.y + 1e6, d.a, d.x), g, cfg)
+    assert np.allclose(shifted.se(), base.se(), rtol=1e-6, atol=0.0)
+
+
+def test_an_empty_seed_list_is_named():
+    d, g, _ = draw_dgp1(Dgp1Config(n=200), stream=Stream(7).child("d"))
+    cfg = SslsConfig(OlsSpec(), LogisticSpec(), CrossFitPlan())
+    with pytest.raises(DomainError, match="empty list"):
+        repeated_ssls(d, g, cfg, seeds=[])
+
+
+@pytest.mark.parametrize("learner_y, learner_e", [
+    (OlsSpec(), LogisticSpec()), (GbmSpec(), LogisticSpec()), (CartSpec(), CartSpec()),
+], ids=["ols-logistic", "gbm-logistic", "cart-cart"])
+def test_treatment_flip_outcome_shift_and_affine_covariate(learner_y, learner_e):
+    # a -> 1 - a negates a - e_hat, y + c shifts y and m_hat alike, and an
+    # increasing affine map of a covariate leaves every fit's predictions as
+    # they were; so tau_hat is negated or kept and the standard error kept,
+    # up to rounding. Each residual is rounded at the outcome's scale,
+    # eps * max|y|, and tau_hat and the standard error are ratios of group
+    # sums of those residuals to sums of (a - e_hat)^2, so they move by a
+    # small multiple of it: the multiple below which estimate_ssls treats a
+    # standard error as zero.
+    d, g, _ = draw_dgp1(Dgp1Config(n=1000), stream=Stream(11).child("d"))
+    cfg = SslsConfig(learner_y, learner_e, CrossFitPlan(stratified=True, seed=4))
+    base, _ = repeated_ssls(d, g, cfg)
+    x = d.x.copy()
+    x[:, 0] = 3.0 * x[:, 0] - 2.0
+    for data, sign in ((Dataset(d.y, 1.0 - d.a, d.x), -1.0),
+                       (Dataset(d.y + 1000.0, d.a, d.x), 1.0),
+                       (Dataset(d.y, d.a, x), 1.0)):
+        moved, _ = repeated_ssls(data, g, cfg)
+        tol = estimator._ROUNDING_SE * np.finfo(np.float64).eps * np.abs(data.y).max()
+        assert np.abs(moved.tau_hat - sign * base.tau_hat).max() <= tol
+        assert np.abs(moved.se() - base.se()).max() <= tol
 
 
 def _tie_free_design(seed, n=400):

@@ -32,7 +32,6 @@ def effects(tau, sigma, n_eff, n_g=None):
         n_g=np.asarray(n_g, dtype=np.int64),
         n_effective=n_eff,
         residuals=np.zeros(int(n_eff)),
-        denominators=np.ones(len(tau)),
     )
 
 

@@ -15,13 +15,11 @@ from ssls.learners import LogisticSpec, OlsSpec, learner_spec
 from ssls.parallel import fork_join, usable_cpus
 from ssls.rng import Stream
 from ssls.simulation import (
-    BlobConfig,
     Dgp1Config,
     Dgp1Truth,
     DgpDiagConfig,
     diag_true_groups,
     diag_wrong_groups,
-    draw_blobs,
     draw_dgp1,
     draw_dgp_diag,
     logistic,
@@ -30,6 +28,7 @@ from ssls.simulation import (
     run_diagnostic_study,
     run_robustness_study,
 )
+from blobs import BlobConfig, draw_blobs
 
 
 def test_dgp1_group_shares():
@@ -217,8 +216,8 @@ def test_studies_reject_undefined_statistics_and_bad_workers(study, kw, argv, me
 # A setting outside a study's domain is named before any replicate runs: a
 # negative or non-finite power distance or random-effect scale, a tau0 that
 # is not DGP1's four effects, an empty learner list, a list item that is not
-# a number, and the reps and workers checks on an empty grid. The CLI, where
-# it takes the setting, exits 2 and writes nothing.
+# a number, an alpha outside (0, 1), and the reps and workers checks on an
+# empty grid. The CLI, where it takes the setting, exits 2 and writes nothing.
 @pytest.mark.parametrize("study, kw, argv, message", [
     (run_power_study, dict(distances=[0.0, -1.0]),
      ["--study", "power", "--distances", "0,-1"], "distances must be finite and >= 0"),
@@ -248,12 +247,16 @@ def test_studies_reject_undefined_statistics_and_bad_workers(study, kw, argv, me
      "--sigma-y '0,x': could not convert string to float: 'x'"),
     (None, None, ["--study", "power", "--distances", "0,1,2;3"],
      "--distances '0,1,2;3': could not convert string to float: '2;3'"),
+    (run_calibration_study, dict(cells=[("oracle", 0.0, 0.0)], alpha=1.5), None,
+     r"alpha must lie in \(0, 1\), got 1.5"),
+    (run_power_study, dict(distances=[0.0], alpha=1.5), None,
+     r"alpha must lie in \(0, 1\), got 1.5"),
 ])
 def test_studies_reject_bad_settings_before_any_replicate(study, kw, argv, message,
                                                           tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a replicate ran")
-    monkeypatch.setattr(simulation, "single_run", fail)
+    monkeypatch.setattr(simulation, "repeated_ssls", fail)
     if study is not None:
         with pytest.raises(DomainError, match=message):
             study(**kw)

@@ -67,6 +67,9 @@ def test_traced_calibration_fires_every_required_span():
                                 [("gbm", 0.0, 0.0)], 2, 200)
     assert len(results) == 1
     metrics = tracer.op_metrics(1, tracing.REQUIRED["mc"])
-    # two replicates of two folds, each with a 100-tree outcome and propensity
+    # two replicates of one split each: one fold draw and one cross-fit per
+    # replicate, of two folds with a 100-tree outcome and propensity each
+    assert metrics["data.make_crossfit_plan.calls"] == 2
+    assert metrics["estimator.crossfit_nuisance.calls"] == 2
     assert metrics["learners.fit_propensity.calls"] == 4
     assert metrics["learners.gbm_trees"] == 800
