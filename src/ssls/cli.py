@@ -47,6 +47,7 @@ from .simulation import (
 )
 
 GATE_ERRORS = (GroupTooSmall, OneArmOnly, ClusteringDegenerate)
+SCHEMA = 1  # report.json's layout; one up whenever a field is renamed or removed
 
 
 def _fmt(value) -> str:
@@ -88,8 +89,16 @@ def write_csv(path: Path, columns: dict) -> None:
                      + "".join([template % row for row in zip(*cells, strict=True)]))
 
 
+def per_row(columns: dict) -> list[dict]:
+    """One {name: cell} dict per row of equal-length columns; each cell is
+    the Python int, float or bool that numpy's tolist gives."""
+    return [dict(zip(columns, row))
+            for row in zip(*(np.asarray(v).tolist() for v in columns.values()))]
+
+
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """payload as indented JSON, its keys in the order they were inserted."""
+    path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _propensity_column(raw: str | None) -> str | None:
@@ -197,11 +206,13 @@ def _nuisance_quality(y, nf) -> dict:
     }
 
 
-def _report(args, covariates, effects, inference, y, nf, **extra) -> dict:
+def _report(args, covariates, inference, y, nf, **extra) -> dict:
     """report.json of estimate and discover: the blocks both commands write,
     then the command's own. y is the outcome of the rows estimated on, and
     nf their first split's nuisance fit."""
+    residuals = inference.effects.residuals
     return {
+        "schema": SCHEMA,
         "command": args.command,
         "data": str(args.data),
         "columns": {
@@ -221,8 +232,17 @@ def _report(args, covariates, effects, inference, y, nf, **extra) -> dict:
             "note": "repeated-split medians are reported unadjusted; rerun with "
                     "another seed to gauge split-to-split stability",
         },
-        "effects": effects.to_dict(),
-        "inference": inference.to_dict(),
+        "effects": {
+            "n_effective": int(inference.effects.n_effective),
+            "alpha": inference.alpha,
+            "z_crit": inference.z_crit,
+            "q_crit": inference.q_crit,
+            "groups": per_row(inference.table),
+            "residual_summary": {"mean": float(np.mean(residuals)),
+                                 "sd": float(np.std(residuals)),
+                                 "min": float(np.min(residuals)),
+                                 "max": float(np.max(residuals))},
+        },
         "nuisance_quality": _nuisance_quality(y, nf),
         **extra,
     }
@@ -255,13 +275,15 @@ def cmd_estimate(args) -> int:
             str(arm): [[lo, hi] for lo, hi in flag_regions(rs, args.flag_multiplier)]
             for arm, rs in series.items()
         },
+        "nan_grid_points": {str(arm): int(np.isnan(rs.smooth).sum())
+                            for arm, rs in series.items()},
     }
-    payload = _report(args, covariates, effects, report, dataset.y, nf0, **extra)
+    payload = _report(args, covariates, report, dataset.y, nf0, **extra)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "report.json", payload)
-    write_csv(out_dir / "groups.csv", report.csv_columns())
+    write_csv(out_dir / "groups.csv", report.table)
     for name, columns in _residual_tables("", xcol, effects.residuals, dataset.a,
                                           grouping.labels, series).items():
         write_csv(out_dir / name, columns)
@@ -282,8 +304,7 @@ def cmd_discover(args) -> int:
     # cluster_spec is not callable; a KMeansSpec is not.
     clusterer = result.clusterer
     converged = clusterer.restart_converged
-    payload = _report(args, covariates, result.effects,
-                      simultaneous_cis(result.effects, alpha=args.alpha),
+    payload = _report(args, covariates, simultaneous_cis(result.effects, alpha=args.alpha),
                       dataset.y[est_idx], result.nuisance,
                       n_total=dataset.n,
                       n_clustering=int(len(result.clustering_indices)),

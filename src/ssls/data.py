@@ -77,13 +77,6 @@ class Grouping:
         return np.bincount(self.labels, minlength=self.n_groups + 1)[1:]
 
 
-def per_row(columns: dict) -> list[dict]:
-    """One {name: cell} dict per row of equal-length columns; each cell is
-    the Python int, float or bool that numpy's tolist gives."""
-    return [dict(zip(columns, row))
-            for row in zip(*(np.asarray(v).tolist() for v in columns.values()))]
-
-
 @dataclass(frozen=True)
 class GroupEffects:
     """Estimated groupwise effects with plug-in asymptotic variances.
@@ -105,20 +98,6 @@ class GroupEffects:
 
     def se(self) -> np.ndarray:
         return np.sqrt(self.sigma_gg_hat / self.n_effective)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_effective": int(self.n_effective),
-            "groups": per_row({"g": np.arange(1, self.n_groups + 1),
-                               "n_g": self.n_g.astype(np.int64), "tau_hat": self.tau_hat,
-                               "se": self.se(), "sigma_gg_hat": self.sigma_gg_hat}),
-            "residual_summary": {
-                "mean": float(np.mean(self.residuals)),
-                "sd": float(np.std(self.residuals)),
-                "min": float(np.min(self.residuals)),
-                "max": float(np.max(self.residuals)),
-            },
-        }
 
 
 @dataclass(frozen=True)

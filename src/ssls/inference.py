@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .data import GroupEffects, per_row
+from .data import GroupEffects
 from .dists import chisq_quantile, chisq_sf, normal_cdf, normal_quantile
 from .errors import DomainError, ZeroVarianceContrast, ZeroVarianceGroup
 
@@ -48,10 +49,10 @@ def maxt_critical(alpha: float, n_comparisons: int) -> float:
 
 @dataclass(frozen=True)
 class InferenceReport:
-    """Per-group test results; simultaneous intervals always contain the
-    pointwise ones because q_crit >= z_crit."""
+    """Per-group test results on effects; simultaneous intervals always
+    contain the pointwise ones because q_crit >= z_crit."""
 
-    tau_hat: np.ndarray
+    effects: GroupEffects
     se: np.ndarray
     tau0: np.ndarray
     t_stat: np.ndarray
@@ -62,31 +63,18 @@ class InferenceReport:
     ci_simul_hi: np.ndarray
     reject_pointwise: np.ndarray
     reject_simul: np.ndarray
-    n_g: np.ndarray
-    n_effective: int
     alpha: float
     z_crit: float
     q_crit: float
 
-    @property
-    def n_groups(self) -> int:
-        return self.tau_hat.shape[0]
-
-    def to_dict(self) -> dict:
-        columns = self.csv_columns()
-        columns["g"] = columns.pop("group")
-        return {
-            "alpha": self.alpha,
-            "z_crit": self.z_crit,
-            "q_crit": self.q_crit,
-            "n_effective": int(self.n_effective),
-            "groups": per_row({**columns, "tau0": self.tau0}),
-        }
-
-    def csv_columns(self) -> dict:
-        return {"group": np.arange(1, self.n_groups + 1),
-                "n_g": self.n_g.astype(np.int64), "estimate": self.tau_hat,
-                "se": self.se, "t_stat": self.t_stat, "p_value": self.p_value,
+    @cached_property
+    def table(self) -> dict:
+        """The per-group table, one column per name, as groups.csv writes it
+        and report.json's effects.groups holds it row by row."""
+        ge = self.effects
+        return {"g": np.arange(1, ge.n_groups + 1), "n_g": ge.n_g.astype(np.int64),
+                "tau_hat": ge.tau_hat, "se": self.se, "sigma_gg_hat": ge.sigma_gg_hat,
+                "tau0": self.tau0, "t_stat": self.t_stat, "p_value": self.p_value,
                 "ci_lo": self.ci_lo, "ci_hi": self.ci_hi,
                 "ci_simul_lo": self.ci_simul_lo, "ci_simul_hi": self.ci_simul_hi,
                 "reject_pointwise": self.reject_pointwise,
@@ -119,7 +107,7 @@ def simultaneous_cis(ge: GroupEffects, alpha: float = 0.05, tau0=None) -> Infere
     t_stat = (ge.tau_hat - tau0) / se
     p_value = np.array([2.0 * normal_cdf(-abs(t)) for t in t_stat])
     return InferenceReport(
-        tau_hat=ge.tau_hat.copy(),
+        effects=ge,
         se=se,
         tau0=tau0,
         t_stat=t_stat,
@@ -130,8 +118,6 @@ def simultaneous_cis(ge: GroupEffects, alpha: float = 0.05, tau0=None) -> Infere
         ci_simul_hi=ge.tau_hat + q * se,
         reject_pointwise=np.abs(t_stat) > z,
         reject_simul=np.abs(t_stat) > q,
-        n_g=ge.n_g.copy(),
-        n_effective=ge.n_effective,
         alpha=alpha,
         z_crit=z,
         q_crit=q,

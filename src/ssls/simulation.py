@@ -237,7 +237,7 @@ def run_calibration_study(
             report = simultaneous_cis(ge, alpha=alpha)
             covers = bool(np.all((report.ci_simul_lo <= truth.tau)
                                  & (truth.tau <= report.ci_simul_hi)))
-            return ge.tau_hat, ge.se(), covers
+            return ge.tau_hat, report.se, covers
 
         rows = run(Stream(seed).child("calibration").child(cell_index), rep)
         tau_hats, ases, covers = map(np.asarray, zip(*rows))

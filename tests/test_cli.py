@@ -74,7 +74,7 @@ def test_estimate_toy_fixture(toy_csv, tmp_path):
     assert (out / "groups.csv").exists()
     assert (out / "residuals_smooth.csv").exists()
     assert report["group_relabeling"] == {"all": 1}
-    assert report["inference"]["groups"][0]["p_value"] <= 1.0
+    assert report["effects"]["groups"][0]["p_value"] <= 1.0
 
 
 def test_estimate_missing_column(toy_csv, tmp_path, capsys):
@@ -509,8 +509,8 @@ def test_diagnose_outputs(toy_csv, tmp_path):
                                                          '"command": "diagnose"')
     report = json.loads(outputs["diagnose"]["report.json"])
     assert "contrast_test" in report
-    assert list(report["diagnostics"]) == ["bandwidth", "covariate_index",
-                                           "flag_multiplier", "flagged_regions"]
+    assert list(report["diagnostics"]) == ["covariate_index", "bandwidth", "flag_multiplier",
+                                           "flagged_regions", "nan_grid_points"]
     assert report["command"] == "diagnose"
 
 
@@ -527,6 +527,46 @@ def test_estimate_flag_multiplier_takes_effect(dgp1_csv, tmp_path):
         regions[multiplier] = flags["flagged_regions"]
     assert regions["1e9"] == {"0": [], "1": []}
     assert regions["0"] != regions["8"]
+
+
+def test_groups_csv_is_the_reports_per_group_table(dgp1_csv, tmp_path):
+    out = tmp_path / "out"
+    assert main(["estimate", "--data", str(dgp1_csv), "--outcome", "y", "--treatment", "a",
+                 "--group", "g", "--covariates", "x1,x2,x3", "--learner-y", "ols",
+                 "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert "inference" not in report
+    rows = report["effects"]["groups"]
+    with open(out / "groups.csv", newline="") as fh:
+        header, *cells = list(csv.reader(fh))
+    assert header == list(rows[0])
+    assert len(cells) == len(rows) == 4
+    for row, line in zip(rows, cells):
+        assert list(row) == header
+        for value, cell in zip(row.values(), line, strict=True):
+            if isinstance(value, float):
+                assert cell == f"{value:.6g}"
+            else:
+                assert cell == str(int(value))
+
+
+def test_unsupported_grid_points_are_counted_without_a_nan_in_the_report(dgp1_csv, tmp_path):
+    out = tmp_path / "out"
+    assert main(["estimate", "--data", str(dgp1_csv), "--outcome", "y", "--treatment", "a",
+                 "--group", "g", "--covariates", "x1,x2,x3", "--learner-y", "ols",
+                 "--bandwidth", "1e-300", "--out-dir", str(out)]) == 0
+
+    def no_constant(name):
+        raise AssertionError(f"report.json holds {name}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=no_constant)
+    with open(out / "residuals_smooth.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    nan_points = report["diagnostics"]["nan_grid_points"]
+    for arm in ("0", "1"):
+        assert nan_points[arm] == sum(r["curve"] == "nan" for r in rows if r["arm"] == arm)
+        assert 0 < nan_points[arm] < 200
+    assert report["diagnostics"]["flagged_regions"] == {"0": [], "1": []}
 
 
 @pytest.mark.parametrize("command, flag, value, message", [

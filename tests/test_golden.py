@@ -14,18 +14,23 @@ The float tolerances are there so that the last bits of another platform's
 libm and BLAS (the macOS CI job) do not fail the test; on the platform that
 wrote the goldens the files are byte-identical. Rewrite them with regen.py
 and name every changed file and field in CHANGES.md.
+
+The README's `report.json` field table must list exactly the key paths that
+the golden reports use, in their order.
 """
 
 import csv
 import importlib.util
 import json
 import math
+import re
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = GOLDEN.parents[1] / "README.md"
 _spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
 regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
@@ -130,3 +135,36 @@ def test_the_comparison_sees_a_change(workdir, tmp_path):
     changed["clustering"]["restarts_at_max_iter"] += 1
     with pytest.raises(AssertionError):
         _same_json(changed, report)
+
+
+# Keys whose children are data, not field names: a group value or an arm.
+_DATA_KEYS = {"group_relabeling": "<value>", "diagnostics.flagged_regions": "<arm>",
+              "diagnostics.nan_grid_points": "<arm>"}
+
+
+def _key_paths(value, path=""):
+    """The key path of each leaf of value, in order: `a.b` for a nested key,
+    `[]` for every row of a list of objects, a placeholder for a data key."""
+    if isinstance(value, dict):
+        for key, child in value.items():
+            name = _DATA_KEYS.get(path, key)
+            yield from _key_paths(child, f"{path}.{name}" if path else name)
+    elif value and isinstance(value, list) and all(isinstance(v, dict) for v in value):
+        for row in value:
+            yield from _key_paths(row, path + "[]")
+    else:
+        yield path
+
+
+def test_the_readme_lists_each_report_field_that_a_golden_uses():
+    section = README.read_text().split("## `report.json` fields\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
+    assert len(listed) == len(set(listed))
+    used = set()
+    for report in sorted(GOLDEN.glob("*/report.json")):
+        paths = list(dict.fromkeys(_key_paths(json.loads(report.read_text()))))
+        assert not set(paths) - set(listed), (report.parent.name, set(paths) - set(listed))
+        positions = [listed.index(path) for path in paths]
+        assert positions == sorted(positions), (report.parent.name, "keys out of README order")
+        used.update(paths)
+    assert not set(listed) - used, set(listed) - used

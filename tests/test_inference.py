@@ -1,5 +1,6 @@
 """Testing and intervals: maxT, pointwise, pairwise, GLH, power rule."""
 
+import json
 import math
 import re
 import warnings
@@ -7,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ssls.cli import per_row
 from ssls.data import GroupEffects
 from ssls.dists import normal_cdf, normal_quantile
 from ssls.errors import DomainError, ZeroVarianceContrast, ZeroVarianceGroup
@@ -276,9 +278,21 @@ def test_power_min_n_domain():
 def test_report_serialization_roundtrip():
     ge = effects([1.0, -0.5], [4.0, 2.0], 64)
     rep = simultaneous_cis(ge, alpha=0.1)
-    payload = rep.to_dict()
-    assert payload["alpha"] == 0.1
-    assert len(payload["groups"]) == 2
-    columns = rep.csv_columns()
-    assert columns["group"][0] == 1
-    assert set(columns) >= {"estimate", "se", "p_value", "ci_lo", "ci_hi"}
+    assert rep.alpha == 0.1
+    assert rep.effects is ge
+    table = rep.table
+    assert rep.table is table  # built once, then shared by both writers
+    assert list(table) == ["g", "n_g", "tau_hat", "se", "sigma_gg_hat", "tau0",
+                           "t_stat", "p_value", "ci_lo", "ci_hi", "ci_simul_lo",
+                           "ci_simul_hi", "reject_pointwise", "reject_simultaneous"]
+    assert table["g"].tolist() == [1, 2]
+    assert table["n_g"].tolist() == [32, 32]
+    assert np.array_equal(table["tau_hat"], [1.0, -0.5])
+    assert np.array_equal(table["se"], ge.se())
+    assert np.array_equal(table["sigma_gg_hat"], [4.0, 2.0])
+    rows = json.loads(json.dumps(per_row(table)))
+    assert len(rows) == 2
+    for i, row in enumerate(rows):
+        assert list(row) == list(table)
+        for name, column in table.items():
+            assert row[name] == column[i] and type(row[name]) is type(column[i].item())
