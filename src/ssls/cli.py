@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import KMeansSpec
-from .data import CrossFitPlan, csv_rows, load_csv
+from .data import CrossFitPlan, csv_rows, load_csv, parse_number
 from .diagnostics import (
     check_covariate_index,
     check_sd_multiplier,
@@ -168,9 +168,9 @@ def _float_list(flag: str, text: str) -> list[float]:
 
 
 def _load_contrast(path: str, n_groups: int) -> Contrast:
-    """The --contrast file: rows of K with a trailing m0 column. A cell that
-    does not parse or is not finite is named by its row and column, and the
-    file line the row starts on."""
+    """The --contrast file: rows of K with a trailing m0 column, each cell read
+    by parse_number. A cell that does not parse or is not finite is named by
+    its row and column, and the file line the row starts on."""
     numbered = [record for record in csv_rows(path) if record[1]]
     lines, rows = [line for line, _ in numbered], [row for _, row in numbered]
     if not rows or any(len(row) != n_groups + 1 for row in rows):
@@ -181,7 +181,7 @@ def _load_contrast(path: str, n_groups: int) -> Contrast:
     for i, row in enumerate(rows):
         for j, raw in enumerate(row):
             try:
-                mat[i, j] = float(raw)
+                mat[i, j] = parse_number(raw)
             except ValueError:
                 raise SslsError(f"{path}: cannot parse '{raw.strip()}' at row "
                                 f"{i + 1}, column {j + 1} (line {lines[i]})") from None

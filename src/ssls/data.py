@@ -210,9 +210,9 @@ def make_crossfit_plan(
 def relabel_dense(values: Sequence) -> tuple[np.ndarray, dict]:
     """Map arbitrary categorical group values onto dense labels 1..G.
 
-    Values that parse as numbers come first, in numeric order, the rest
-    follow lexicographically, and ties (`1`, `1.0`) keep the order in which
-    they first appear; returns (labels, original-value -> label mapping).
+    Values that parse as numbers other than NaN come first, in numeric
+    order; the rest, `nan` included, follow as text, and ties (`1`, `1.0`)
+    keep the order of first appearance; returns (labels, value -> label).
     """
     uniq = sorted(dict.fromkeys(values), key=_sort_key)
     mapping = {v: i + 1 for i, v in enumerate(uniq)}
@@ -222,9 +222,10 @@ def relabel_dense(values: Sequence) -> tuple[np.ndarray, dict]:
 
 def _sort_key(v):
     try:
-        return (0, float(v), "")
+        x = float(v)
     except (TypeError, ValueError):
-        return (1, 0.0, str(v))
+        x = math.nan
+    return (0, x, "") if x == x else (1, 0.0, str(v))  # NaN sorts as text
 
 
 # The largest field limit a C long holds on every platform.
@@ -271,38 +272,76 @@ def _decode_error(path: str, encoding: str) -> SslsError:
     return SslsError(f"{path}: not valid {encoding} text")
 
 
-def _loadtxt(path: str, usecols: list[int], dtype) -> np.ndarray:
-    with open(path, newline="") as fh, _no_field_limit():
-        next(csv.reader(fh))  # the header
-        return np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                          usecols=usecols, dtype=dtype, ndmin=2)
+def parse_number(raw: str) -> float:
+    """The number in a CSV cell: float() of the cell stripped of surrounding
+    whitespace, when that text is ASCII with no '_', which is what numpy's
+    reader parses; a ValueError otherwise."""
+    text = raw.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
 
 
-def _bulk_columns(path: str, usecols: list[int], group_col: Optional[int]):
-    """The numeric columns usecols and the stripped group values, parsed by
-    numpy's C reader; None when the csv-module path must read the file: a
-    cell numpy cannot parse or that is not finite, no data rows, or an empty
-    group cell.
-
-    Group cells are read as objects: a fixed-width str array would take n
-    times the longest value's width and drop a trailing NUL.
-    """
-    with warnings.catch_warnings():
+def _read_columns(path: str, usecols: list[int], group_col: Optional[int]):
+    """The columns usecols, the second being the treatment, as an (n, k)
+    float64 view, and the stripped cells of group_col (None when unbound), all
+    parsed by one np.loadtxt call; a ValueError when there are no data rows or
+    a cell is bad. Group cells are read as objects: a fixed-width str field
+    would take n times the longest value's width and drop a trailing NUL."""
+    fields = [("values", np.float64, (len(usecols),))]
+    if group_col is not None:
+        fields.append(("group", object))
+        usecols = [*usecols, group_col]
+    with open(path, newline="") as fh, _no_field_limit(), warnings.catch_warnings():
         warnings.simplefilter("ignore")  # numpy warns when no row follows the header
-        try:
-            values = _loadtxt(path, usecols, np.float64)
-            raw = (None if group_col is None else
-                   _loadtxt(path, [group_col], object)[:, 0].tolist())
-        except ValueError:
-            return None
-    if values.shape[0] == 0 or not np.isfinite(values).all():
-        return None
+        next(csv.reader(fh))  # the header
+        table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                           usecols=usecols, dtype=np.dtype(fields), ndmin=1)
+    values = table["values"]
+    if (values.shape[0] == 0 or not np.isfinite(values).all()
+            or not np.all((values[:, 1] == 0.0) | (values[:, 1] == 1.0))):
+        raise ValueError("no data rows, a non-finite value or a treatment not 0/1")
     groups = None
-    if raw is not None:
-        groups = [v.strip() for v in raw]
+    if group_col is not None:
+        groups = [v.strip() for v in table["group"].tolist()]
         if "" in groups:
-            return None
+            raise ValueError("an empty group cell")
     return values, groups
+
+
+def _raise_first_bad_cell(path: str, col_index: dict, numeric: list[str],
+                          group: Optional[str], reason: str):
+    """Raise the SslsError that names the first bad cell of path, read through
+    the csv module. Each bound column is checked over every row in turn: the
+    numeric columns in order, the second being the treatment, which must be
+    0/1, and the group column last. reason is raised when no cell is bad."""
+    records = csv_rows(path)
+    next(records)  # the header
+    numbered = [record for record in records if record[1]]
+    if not numbered:
+        raise SslsError(f"{path}: no data rows")
+    for k, name in enumerate(numeric if group is None else [*numeric, group]):
+        j = col_index[name]
+        values = []
+        for i, (line, row) in enumerate(numbered):
+            at = f"at row {i + 2}, column '{name}' (line {line})"
+            raw = row[j].strip() if j < len(row) else ""
+            if raw == "":
+                raise SslsError(f"{path}: missing value {at}")
+            if k == len(numeric):  # the group column holds text
+                continue
+            try:
+                values.append(parse_number(raw))
+            except ValueError:
+                raise SslsError(f"{path}: cannot parse '{raw}' {at}") from None
+            if not math.isfinite(values[-1]):
+                raise SslsError(f"{path}: non-finite value {at}")
+        if k == 1:
+            for i, v in enumerate(values):
+                if v not in (0.0, 1.0):
+                    raise NonBinaryTreatment(f"{path}: treatment column '{name}' "
+                                             f"must be 0/1, found {v} at row {i + 2}")
+    raise SslsError(f"{path}: {reason}")
 
 
 def load_csv(
@@ -321,9 +360,9 @@ def load_csv(
     is returned for the run report. The last value is the propensity column
     when one is bound, else None.
 
-    numpy's C reader parses the bound columns. When it fails or finds a bad
-    cell, the csv-module path reads the file again: it builds every error
-    message and parses what only float() accepts, such as `1_000`.
+    One np.loadtxt call parses every bound column; a number is what
+    parse_number reads. When that call fails or finds a bad cell, the file
+    goes to a csv-module walker that only names the first bad cell.
     """
     records = csv_rows(path)
     first = next(records, None)
@@ -332,74 +371,31 @@ def load_csv(
         raise SslsError(f"{path}: empty file, header row required")
 
     header = [h.strip() for h in first[1]]
-    col_index = {name: i for i, name in enumerate(header)}
-    needed = [outcome, treatment, *covariates]
-    if group is not None:
-        needed.append(group)
-    if propensity is not None:
-        needed.append(propensity)
-    for name in needed:
-        if name not in col_index:
+    bound = [outcome, treatment, *covariates, group, propensity]
+    col_index = {}
+    for name in [name for name in bound if name is not None]:
+        at = [j for j, h in enumerate(header) if h == name]
+        if not at:
             raise SslsError(f"{path}: column '{name}' not found in header {header}")
+        if len(at) > 1:
+            raise SslsError(f"{path}: column '{name}' appears twice in the header, "
+                            f"at columns {at[0] + 1} and {at[1] + 1}")
+        col_index[name] = at[0]
 
-    floats = [outcome, treatment, *covariates]
+    numeric = [outcome, treatment, *covariates]
     if propensity is not None:
-        floats.append(propensity)
-    slot = {name: k for k, name in enumerate(floats)}
-    bulk = _bulk_columns(path, [col_index[name] for name in floats],
-                         None if group is None else col_index[group])
-    lines: list[int] = []  # the file line each of rows starts on
-    rows: list[list[str]] = []
-    if bulk is None:
-        records = csv_rows(path)
-        next(records)  # the header
-        numbered = [record for record in records if record[1]]
-        lines, rows = [line for line, _ in numbered], [row for _, row in numbered]
-        if not rows:
-            raise SslsError(f"{path}: no data rows")
-    n = len(rows)
-
-    def at(row_i: int, name: str) -> str:
-        return f"at row {row_i + 2}, column '{name}' (line {lines[row_i]})"
-
-    def cell(row_i: int, name: str) -> str:
-        row = rows[row_i]
-        j = col_index[name]
-        if j >= len(row) or row[j].strip() == "":
-            raise SslsError(f"{path}: missing value {at(row_i, name)}")
-        return row[j].strip()
-
-    def numeric(row_i: int, name: str) -> float:
-        raw = cell(row_i, name)
-        try:
-            v = float(raw)
-        except ValueError:
-            raise SslsError(f"{path}: cannot parse '{raw}' {at(row_i, name)}") from None
-        if not math.isfinite(v):
-            raise SslsError(f"{path}: non-finite value {at(row_i, name)}")
-        return v
-
-    def column(name: str) -> np.ndarray:
-        if bulk is not None:
-            return np.ascontiguousarray(bulk[0][:, slot[name]])
-        return np.array([numeric(i, name) for i in range(n)])
-
-    y = column(outcome)
-    a_raw = column(treatment)
-    if not np.all((a_raw == 0.0) | (a_raw == 1.0)):
-        bad = int(np.argmax(~((a_raw == 0.0) | (a_raw == 1.0))))
-        raise NonBinaryTreatment(
-            f"{path}: treatment column '{treatment}' must be 0/1, "
-            f"found {a_raw[bad]} at row {bad + 2}"
-        )
-    x = np.column_stack([column(c) for c in covariates])
-    prop = None if propensity is None else column(propensity)
-    dataset = Dataset(y, a_raw, x)
-
-    grouping = None
-    mapping: dict = {}
+        numeric.append(propensity)
+    try:
+        values, groups = _read_columns(path, [col_index[name] for name in numeric],
+                                       None if group is None else col_index[group])
+    except ValueError as err:
+        _raise_first_bad_cell(path, col_index, numeric, group, str(err))
+    y, a = (np.ascontiguousarray(values[:, k]) for k in (0, 1))
+    x = np.column_stack([values[:, k] for k in range(2, 2 + len(covariates))])
+    prop = None if propensity is None else np.ascontiguousarray(values[:, -1])
+    del values  # the parsed table, group cells included
+    grouping, mapping = None, {}
     if group is not None:
-        values = bulk[1] if bulk is not None else [cell(i, group) for i in range(n)]
-        labels, mapping = relabel_dense(values)
+        labels, mapping = relabel_dense(groups)
         grouping = Grouping(labels, int(labels.max()))
-    return dataset, grouping, mapping, prop
+    return Dataset(y, a, x), grouping, mapping, prop

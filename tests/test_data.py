@@ -1,6 +1,7 @@
 """Core data model: validation, fold plans, CSV ingestion."""
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -9,8 +10,9 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from ssls import data
 from ssls.data import (
-    _bulk_columns,
+    _read_columns,
     CrossFitPlan,
     Dataset,
     Grouping,
@@ -290,6 +292,14 @@ def test_relabel_dense():
     assert mapping == {"2": 1, "10": 2}
 
 
+def test_relabel_dense_sorts_a_nan_value_as_text():
+    # float("nan") compares false with every number, so as a numeric key it
+    # would leave the order to the order of the rows
+    for values in itertools.permutations(["2", "nan", "1", "NaN"]):
+        labels, mapping = relabel_dense(list(values))
+        assert list(mapping.items()) == [("1", 1), ("2", 2), ("NaN", 3), ("nan", 4)]
+
+
 def test_grouping_helpers():
     g = Grouping([1, 2, 2, 3], 3)
     assert g.counts().tolist() == [1, 2, 1]
@@ -335,6 +345,12 @@ def test_load_csv_missing_column(tmp_path):
     with pytest.raises(SslsError) as err:
         load_csv(str(path), outcome="y", treatment="a", covariates=["x1"])
     assert "'a'" in str(err.value)
+    # columns are looked up in the order outcome, treatment, covariates,
+    # group, propensity
+    path.write_text("y,a,x1\n1.0,1,0.5\n")
+    with pytest.raises(SslsError, match="column 'g' not found"):
+        load_csv(str(path), outcome="y", treatment="a", covariates=["x1"],
+                 group="g", propensity="ps")
 
 
 def test_load_csv_non_binary(tmp_path):
@@ -353,7 +369,8 @@ def test_dataset_subset_and_se():
 
 def _per_cell_load_csv(path, outcome, treatment, covariates, group=None,
                        propensity=None):
-    """The cell-by-cell loader load_csv replaced, kept as its oracle."""
+    """The cell-by-cell loader load_csv replaced, kept as its oracle, with
+    load_csv's number rule: float() of ASCII text with no '_'."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -390,6 +407,8 @@ def _per_cell_load_csv(path, outcome, treatment, covariates, group=None,
     def numeric(row_i, name):
         raw = cell(row_i, name)
         try:
+            if not raw.isascii() or "_" in raw:  # what numpy's reader refuses
+                raise ValueError(raw)
             v = float(raw)
         except ValueError:
             raise SslsError(f"{path}: cannot parse '{raw}' at row {row_i + 2}, "
@@ -425,7 +444,7 @@ def _per_cell_load_csv(path, outcome, treatment, covariates, group=None,
 
 _HEADER = ["y", "a", "x1", "x2", "ps", "grp"]
 _GOOD = [
-    ['"1.5"', "1", " 0.25 ", "1_000", "0.5", '"a,b"'],
+    ['"1.5"', "1", " 0.25 ", "1000", "0.5", '"a,b"'],
     ["-2e-3", " 0 ", "\t7", "-0", "0.25", "10"],
     ["", "", "", "", "", ""],
     ["3", "1.0", "1e300", "4.9e-324", " .75", " 2 "],
@@ -450,10 +469,15 @@ def _load_both(path):
 
 
 def _bulk_read(path):
-    """Whether numpy's reader, not the csv-module path, parses the file."""
+    """Whether numpy's reader reads the file with no bad cell for the
+    csv-module walker to name."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return _bulk_columns(str(path), [0, 1, 2, 3, 4], 5) is not None
+        try:
+            _read_columns(str(path), [0, 1, 2, 3, 4], 5)
+        except ValueError:
+            return False
+        return True
 
 
 def _assert_same(new, old):
@@ -485,7 +509,7 @@ def test_load_csv_matches_per_cell_loader_on_valid_input(tmp_path):
 
 
 @pytest.mark.parametrize("bad", ["<short>", "", "  ", "abc", "inf", "nan", "2",
-                                 "0x10", "1__0"])
+                                 "0x10", "1__0", "1_000", "\uff11"])
 def test_load_csv_matches_per_cell_loader_on_bad_cells(tmp_path, bad):
     # The bad cell goes into every bound column and onto two rows; a later
     # bad cell in another column must not change which error is reported.
@@ -584,8 +608,9 @@ def test_relabel_dense_orders_ties_by_first_appearance():
 def test_load_csv_accepts_an_oversized_cell_on_both_paths(tmp_path, wide, x2):
     # A 200 000-character cell, far past the csv module's default field limit
     # of 131 072, in an unbound column or in the group column. numpy's reader
-    # parses 1000; 1_000 sends the file to the csv-module path, which must
-    # accept it too and leave the process-global limit as it found it.
+    # parses 1000; 1_000 sends the file to the csv-module walker, which must
+    # read past the long cell to name 1_000 and leave the process-global
+    # limit as it found it.
     big = "a" * 200_000
     path = tmp_path / "wide.csv"
     rows = [_HEADER + ["note"], ["1.5", "1", "0.25", x2, "0.5", "g", big],
@@ -594,6 +619,14 @@ def test_load_csv_accepts_an_oversized_cell_on_both_paths(tmp_path, wide, x2):
     path.write_text("\n".join(",".join(r) for r in rows) + "\n")
     limit = csv.field_size_limit()
     assert _bulk_read(path) == (x2 == "1000")
+    if x2 == "1_000":
+        with pytest.raises(SslsError) as err:
+            load_csv(str(path), outcome="y", treatment="a", covariates=["x1", "x2"],
+                     group="grp", propensity="ps")
+        assert str(err.value) == (f"{path}: cannot parse '1_000' at row 2, "
+                                  f"column 'x2' (line 2)")
+        assert csv.field_size_limit() == limit
+        return
     d, g, mapping, ps = load_csv(str(path), outcome="y", treatment="a",
                                  covariates=["x1", "x2"], group="grp", propensity="ps")
     assert csv.field_size_limit() == limit
@@ -607,3 +640,49 @@ def test_load_csv_accepts_an_oversized_cell_on_both_paths(tmp_path, wide, x2):
     with pytest.raises(SslsError, match="cannot parse 'abc' at row 3, column 'x1'"):
         load_csv(str(path), outcome="y", treatment="a", covariates=["x1", "x2"])
     assert csv.field_size_limit() == limit
+
+
+def test_load_csv_reads_a_valid_file_in_one_numpy_call(tmp_path, monkeypatch):
+    # The bound columns, the group column among them, come from one
+    # np.loadtxt call, and a valid file never reaches the csv-module walker.
+    path = tmp_path / "good.csv"
+    _write(path, _GOOD)
+    calls = {"loadtxt": 0, "walker": 0}
+    loadtxt, walker = np.loadtxt, data._raise_first_bad_cell
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "loadtxt", counted("loadtxt", loadtxt))
+    monkeypatch.setattr(data, "_raise_first_bad_cell", counted("walker", walker))
+    d, g, mapping, ps = load_csv(str(path), outcome="y", treatment="a",
+                                 covariates=["x1", "x2"], group="grp", propensity="ps")
+    assert calls == {"loadtxt": 1, "walker": 0}
+    assert d.n == 4 and g.n_groups == 4 and mapping["a,b"] == 3
+    path.write_text(path.read_text().replace("1000", "1_000"))
+    with pytest.raises(SslsError, match="cannot parse '1_000'"):
+        load_csv(str(path), outcome="y", treatment="a", covariates=["x1", "x2"])
+    assert calls == {"loadtxt": 2, "walker": 1}
+
+
+@pytest.mark.parametrize("covariates,group,message", [
+    (["x1"], None, "column 'x1' appears twice in the header, at columns 3 and 4"),
+    (["x0"], "g", "column 'g' appears twice in the header, at columns 5 and 6"),
+])
+def test_load_csv_refuses_a_bound_column_named_twice(tmp_path, covariates, group,
+                                                      message):
+    # A repeated name that no flag binds is read as before, and one column
+    # may fill several roles.
+    path = tmp_path / "twice.csv"
+    path.write_text("y,a,x1,x1,g,g,x0\n1,1,0.5,9,u,v,0\n2,0,0.25,8,u,v,1\n")
+    with pytest.raises(SslsError) as err:
+        load_csv(str(path), outcome="y", treatment="a", covariates=covariates,
+                 group=group)
+    assert str(err.value) == f"{path}: {message}"
+    d, g, mapping, ps = load_csv(str(path), outcome="y", treatment="a",
+                                 covariates=["x0", "a"], group="x0", propensity="x0")
+    assert d.x.tolist() == [[0.0, 1.0], [1.0, 0.0]] and ps.tolist() == [0.0, 1.0]
+    assert mapping == {"0": 1, "1": 2} and g.labels.tolist() == [1, 2]
