@@ -96,11 +96,14 @@ def check_covariate_index(covariate_index: int, n_covariates: int) -> None:
 
 def check_smoother(bandwidth: float | None, grid_size: int) -> None:
     """DomainError unless the bandwidth is finite and positive (None: still
-    to be chosen from the data) and the grid has at least one point."""
+    to be chosen from the data) and the grid has 1 to _MAX_BINS points, each
+    of which is a bin centre."""
     if bandwidth is not None and not (np.isfinite(bandwidth) and bandwidth > 0):
         raise DomainError(f"bandwidth must be finite and positive, got {bandwidth}")
     if grid_size < 1:
         raise DomainError(f"grid size must be at least 1, got {grid_size}")
+    if grid_size > _MAX_BINS:
+        raise DomainError(f"grid size must be at most {_MAX_BINS}, got {grid_size}")
 
 
 def check_sd_multiplier(sd_multiplier: float) -> None:

@@ -36,11 +36,9 @@ from .errors import (
 )
 from .inference import check_variances
 from .learners import (
-    CLIP,
     CartSpec,
     GbmSpec,
     KnownPropensity,
-    OracleSpec,
     PropensityLearnerSpec,
     RegressionLearnerSpec,
     fit_propensity,
@@ -55,6 +53,10 @@ from .rng import Stream
 # outcome and a logistic propensity took 1.30 times the serial time forked
 # at 75 training rows, 1.03 at 100 and 0.76 at 150.
 _MIN_FORKED_WORK = 15_000
+
+# Every propensity is clipped to [CLIP, 1 - CLIP], a trimming rule on the
+# closed form's weights (a - e_hat)^2 (Crump, Hotz, Imbens & Mitnik 2009).
+CLIP = 0.01
 
 # Rounding units of the outcome's scale within which a standard error is zero.
 _ROUNDING_SE = 64
@@ -136,10 +138,10 @@ def crossfit_nuisance(
     fold_of holds each row's fold label; it is drawn from cfg.plan when not
     given, and FoldsNotPartition is raised unless the labels given are n
     integers in 0..n_folds-1. With a grouping, the dataset is validated
-    before anything is fitted. Known propensities bypass fitting entirely:
-    the supplied scalar or column is copied through (after clipping).
-    Oracle propensities skip the one-arm check but are still evaluated fold
-    by fold.
+    before anything is fitted. A known propensity's scalar or column is
+    copied through instead of fitted; any other propensity spec is fitted
+    on each fold's complement, which must hold both arms. Either way e_hat
+    is then clipped once to [CLIP, 1 - CLIP].
 
     The folds are jobs of parallel.fork_join on usable_cpus() workers, or on
     one when the heaviest learner grows fewer than _MIN_FORKED_WORK
@@ -157,8 +159,9 @@ def crossfit_nuisance(
     m_hat = np.empty(n)
     e_hat = np.empty(n)
     spec_e = cfg.propensity_spec
-    if isinstance(spec_e, KnownPropensity):
-        e_hat[:] = np.clip(_known_column(spec_e, n), CLIP, 1.0 - CLIP)
+    known = isinstance(spec_e, KnownPropensity)
+    if known:
+        e_hat[:] = _known_column(spec_e, n)
 
     def fold(k: int) -> tuple:
         test_idx = np.flatnonzero(fold_of == k)
@@ -166,11 +169,9 @@ def crossfit_nuisance(
         if train_idx.size == 0:
             raise TooFewSamples(f"fold {k} has an empty training complement")
         e_k = None
-        if not isinstance(spec_e, KnownPropensity):
+        if not known:
             a_train = d.a[train_idx]
-            if not isinstance(spec_e, OracleSpec) and not (
-                (a_train == 1.0).any() and (a_train == 0.0).any()
-            ):
+            if not ((a_train == 1.0).any() and (a_train == 0.0).any()):
                 raise OneArmOnly(f"training complement of fold {k}")
             model_e = fit_propensity(spec_e, d.x[train_idx], a_train)
             e_k = model_e.predict(d.x[test_idx])
@@ -184,6 +185,7 @@ def crossfit_nuisance(
         m_hat[fold_of == k] = m_k
         if e_k is not None:
             e_hat[fold_of == k] = e_k
+    np.clip(e_hat, CLIP, 1.0 - CLIP, out=e_hat)
     return NuisanceFit(m_hat=m_hat, e_hat=e_hat, fold_of=fold_of)
 
 

@@ -230,11 +230,15 @@ def power_min_n(z_tilde: float, alpha: float = 0.05, power: float = 0.8) -> int:
 
     n = ceil((z_power + z_{1-alpha/2})^2 / z_tilde^2); for example
     z_tilde = 1 needs 8 observations and z_tilde = 0.1 needs 785.
+    DomainError unless z_tilde is finite and positive and n is finite.
     """
-    if not z_tilde > 0:
-        raise DomainError(f"z_tilde must be positive, got {z_tilde}")
+    if not (math.isfinite(z_tilde) and z_tilde > 0):
+        raise DomainError(f"z_tilde must be finite and positive, got {z_tilde}")
     check_alpha(alpha)
     if not 0.0 < power < 1.0:
         raise DomainError(f"power must lie in (0, 1), got {power}")
-    z_sum = normal_quantile(power) + normal_quantile(1.0 - alpha / 2.0)
-    return math.ceil((z_sum / z_tilde) ** 2)
+    ratio = (normal_quantile(power) + normal_quantile(1.0 - alpha / 2.0)) / z_tilde
+    if not math.isfinite(ratio * ratio):
+        raise DomainError(f"z_tilde {z_tilde} is too small: the group size it needs "
+                          f"overflows")
+    return math.ceil(ratio ** 2)

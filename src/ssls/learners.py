@@ -2,10 +2,12 @@
 
 One spec per learner; the slot it fills decides its role. Fitted by
 fit_regression it estimates E(Y|X); fitted by fit_propensity it estimates
-P(A=1|X), with predictions clipped to [CLIP, 1 - CLIP]. Everything here is
-deterministic: tree splits break ties on (lowest feature index, smallest
-threshold), and the logistic solver is Newton with step-halving that stops
-on the Newton decrement (Boyd & Vandenberghe, Convex Optimization, 9.5).
+P(A=1|X) as the learner's own fit of A on X, unclipped. Both roles run one
+fit, _fit; cross-fitting clips every propensity (estimator.CLIP). Everything
+here is deterministic: tree splits break ties on (lowest feature index,
+smallest threshold), and the logistic solver is Newton with step-halving
+that stops on the Newton decrement (Boyd & Vandenberghe, Convex
+Optimization, 9.5).
 
 Trees use exact greedy search over presorted columns (Chen & Guestrin,
 KDD 2016, 4.1). What depends on x alone is computed once per fit and shared
@@ -40,7 +42,6 @@ from .errors import (
     TooFewSamples,
 )
 
-CLIP = 0.01  # propensities are clipped to [CLIP, 1 - CLIP]
 # Trees of at most this many nodes (all of depth 2) predict column-wise. On
 # two x86-64 cores a 7-node tree took 0.4 to 0.8 of the row-subset walk's
 # time on 500 to 20 000 rows, and an 11-node tree 0.4 to 1.1.
@@ -153,14 +154,7 @@ PropensityLearnerSpec = Union[LogisticSpec, CartSpec, GbmSpec, OracleSpec, Known
 # Fitted models
 
 
-class FittedModel:
-    converged: bool = True
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class _LinearModel(FittedModel):
+class _LinearModel:
     def __init__(self, intercept: float, coef: np.ndarray):
         self.intercept = intercept
         self.coef = coef
@@ -169,7 +163,7 @@ class _LinearModel(FittedModel):
         return self.intercept + np.asarray(x, dtype=np.float64) @ self.coef
 
 
-class _OracleModel(FittedModel):
+class _OracleModel:
     def __init__(self, fn):
         self.fn = fn
 
@@ -177,7 +171,7 @@ class _OracleModel(FittedModel):
         return np.asarray(self.fn(np.asarray(x, dtype=np.float64)), dtype=np.float64)
 
 
-class _TreeModel(FittedModel):
+class _TreeModel:
     """Binary regression tree stored as parallel node arrays."""
 
     def __init__(self, feature, threshold, left, right, value):
@@ -218,7 +212,7 @@ class _TreeModel(FittedModel):
                         self._columnwise(x, self.right[node]))
 
 
-class _GbmModel(FittedModel):
+class _GbmModel:
     def __init__(self, base: float, trees: list, shrinkage: float,
                  train_mse_path: np.ndarray):
         self.base = base
@@ -234,7 +228,7 @@ class _GbmModel(FittedModel):
         return out
 
 
-class _LogisticModel(FittedModel):
+class _LogisticModel:
     def __init__(self, intercept, coef, converged):
         self.intercept = intercept
         self.coef = coef
@@ -243,17 +237,6 @@ class _LogisticModel(FittedModel):
     def predict(self, x: np.ndarray) -> np.ndarray:
         eta = self.intercept + np.asarray(x, dtype=np.float64) @ self.coef
         return 1.0 / (1.0 + np.exp(-np.clip(eta, -500, 500)))
-
-
-class _ClippedModel(FittedModel):
-    """A fitted propensity model whose predictions lie in [CLIP, 1 - CLIP]."""
-
-    def __init__(self, inner: FittedModel):
-        self.inner = inner
-        self.converged = inner.converged
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(self.inner.predict(x), CLIP, 1.0 - CLIP)
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +454,18 @@ def linear_solve_spd(m: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _solve_linear(x: np.ndarray, y: np.ndarray, lam: float):
     n, p = x.shape
     design = np.column_stack([np.ones(n), x])
-    gram = design.T @ design
-    if lam > 0.0:
-        penalty = lam * np.eye(p + 1)
-        penalty[0, 0] = 0.0  # intercept unpenalized
-        gram = gram + penalty
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = design.T @ design
+        if lam > 0.0:
+            penalty = lam * np.eye(p + 1)
+            penalty[0, 0] = 0.0  # intercept unpenalized
+            gram = gram + penalty
+        trace = np.trace(gram)
+    # no entry of a Gram matrix exceeds its trace, so below half the float64
+    # maximum the symmetrizations here and in linear_solve_spd stay finite
+    if not (np.isfinite(gram).all() and trace < 0.5 * np.finfo(np.float64).max):
+        raise SingularDesign("the Gram matrix X'X, ridge penalty included, overflows "
+                             "float64; rescale the covariates or lower the penalty")
     eigvals = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     if eigvals[0] <= 1e-10 * max(eigvals[-1], 1e-300):
         if lam == 0.0:
@@ -483,7 +473,7 @@ def _solve_linear(x: np.ndarray, y: np.ndarray, lam: float):
                 f"rank-deficient design (min eig {eigvals[0]:.3e}); "
                 "drop collinear columns or use ridge"
             )
-        gram = gram + (1e-12 * np.trace(gram)) * np.eye(p + 1)
+        gram = gram + (1e-12 * trace) * np.eye(p + 1)
     beta = linear_solve_spd(gram, design.T @ y)
     return float(beta[0]), beta[1:]
 
@@ -556,47 +546,45 @@ def _check_rows(spec, x: np.ndarray) -> None:
         )
 
 
-def fit_regression(spec: RegressionLearnerSpec, x, y) -> FittedModel:
-    """Fit a conditional-mean learner for E(Y|X)."""
-    x, y = _check_matrix(x, y)
+def _fit(spec, x: np.ndarray, target: np.ndarray):
+    """The fit of spec to target on x, in either role; an oracle is not
+    fitted, and any other spec needs the rows _check_rows asks for."""
     if isinstance(spec, OracleSpec):
         return _OracleModel(spec.fn)
     _check_rows(spec, x)
     if isinstance(spec, OlsSpec):
-        return _LinearModel(*_solve_linear(x, y, 0.0))
+        return _LinearModel(*_solve_linear(x, target, 0.0))
     if isinstance(spec, RidgeSpec):
-        return _LinearModel(*_solve_linear(x, y, spec.lam))
+        return _LinearModel(*_solve_linear(x, target, spec.lam))
+    if isinstance(spec, LogisticSpec):
+        return _fit_logistic(x, target, spec)
     if isinstance(spec, CartSpec):
-        return _grow_tree(y, spec.max_depth, spec.min_leaf,
+        return _grow_tree(target, spec.max_depth, spec.min_leaf,
                           _presort(x, spec.min_leaf))[0]
-    if isinstance(spec, GbmSpec):
-        return _fit_gbm(x, y, spec)
-    raise TypeError(f"unknown regression spec {spec!r}")
+    return _fit_gbm(x, target, spec)
 
 
-def fit_propensity(spec: PropensityLearnerSpec, x, a) -> FittedModel:
-    """Fit a treatment-probability learner; the fitted model is wrapped in
-    _ClippedModel, so its predictions are clipped to [CLIP, 1 - CLIP] and
-    its `inner` is the unclipped model."""
+def fit_regression(spec: RegressionLearnerSpec, x, y):
+    """Fit a conditional-mean learner for E(Y|X)."""
+    if not isinstance(spec, RegressionLearnerSpec):
+        raise TypeError(f"unknown regression spec {spec!r}")
+    return _fit(spec, *_check_matrix(x, y))
+
+
+def fit_propensity(spec: PropensityLearnerSpec, x, a):
+    """Fit a treatment-probability learner: the fit of a on x, unclipped, so
+    a CART or GBM fit may predict outside [0.01, 0.99] while a logistic fit
+    stays in (0, 1). OneArmOnly unless a holds both arms; a KnownPropensity
+    is resolved by cross-fitting, which clips every propensity."""
     if isinstance(spec, KnownPropensity):
         raise DomainError("known propensities are resolved by cross-fitting, "
                           "not fitted")
+    if not isinstance(spec, PropensityLearnerSpec):
+        raise TypeError(f"unknown propensity spec {spec!r}")
     x, a = _check_matrix(x, a)
-    if isinstance(spec, OracleSpec):
-        return _ClippedModel(_OracleModel(spec.fn))
     if not ((a == 1.0).any() and (a == 0.0).any()):
         raise OneArmOnly("training sample")
-    _check_rows(spec, x)
-    if isinstance(spec, LogisticSpec):
-        model = _fit_logistic(x, a, spec)
-    elif isinstance(spec, CartSpec):
-        model = _grow_tree(a, spec.max_depth, spec.min_leaf,
-                           _presort(x, spec.min_leaf))[0]
-    elif isinstance(spec, GbmSpec):
-        model = _fit_gbm(x, a, spec)
-    else:
-        raise TypeError(f"unknown propensity spec {spec!r}")
-    return _ClippedModel(model)
+    return _fit(spec, x, a)
 
 
 def learner_spec(name: str, role: str, truth=None):

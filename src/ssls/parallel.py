@@ -13,11 +13,11 @@ CPU, so joins never nest.
 
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Optional
 
 from .errors import DomainError
@@ -78,8 +78,8 @@ def fork_join(job: Callable[[int], object], n_jobs: int,
     workers = usable_cpus() if workers is None else workers
     children = min(workers, n_jobs) - 1 if sys.platform == "linux" else 0
     forked = n_jobs - max(1, n_jobs // (children + 1)) if children > 0 else 0
-    pool = (ProcessPoolExecutor(children, mp_context=multiprocessing.get_context("fork"))
-            if forked else None)
+    pool = (concurrent.futures.ProcessPoolExecutor(  # its module loads at the first fork
+        children, mp_context=multiprocessing.get_context("fork")) if forked else None)
     outer = _job, _sharing
     try:
         _job = job  # before the first submit, which forks the children

@@ -253,6 +253,7 @@ _SETTINGS_NAMED = [
     ("--propensity", "1.5", "propensity"),
     ("--bandwidth", "0", "bandwidth"),
     ("--grid-size", "0", "grid size"),
+    ("--grid-size", "65537", "grid size must be at most 65536"),
     ("--flag-multiplier", "-1", "multiplier"),
     ("--diag-covariate", "1", "covariate index"),
 ]
@@ -398,6 +399,32 @@ def test_power_command(capsys):
 
 def test_power_command_domain_error():
     assert main(["power", "--ztilde", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv, x_scale", [
+    (["power", "--ztilde", "inf"], 1.0),
+    (["power", "--ztilde", "1e-300"], 1.0),
+    (["estimate", "--grid-size", "100000000"], 1.0),
+    (["estimate", "--learner-y", "ridge:1e308"], 1.0),
+    (["estimate"], 1e160),
+    (["estimate", "--bandwidth", "nan"], 1.0),
+], ids=["ztilde-inf", "ztilde-tiny", "grid-size-huge", "ridge-huge", "x-1e160-ols",
+        "bandwidth-nan"])
+@pytest.mark.filterwarnings("error")
+def test_bad_setting_exits_2_with_a_named_error(toy_csv, tmp_path, capsys, argv, x_scale):
+    # each is refused as an input problem, never as an internal error, and
+    # leaves no output folder; a numpy warning on the way would be an error
+    rows = [line.split(",") for line in toy_csv.read_text().splitlines()]
+    for row in rows[1:]:
+        row[3] = repr(float(row[3]) * x_scale)
+    toy_csv.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    out = tmp_path / "out"
+    if argv[0] == "estimate":  # a later flag overrides estimate_args' own
+        argv = estimate_args(toy_csv, out, argv[1:])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
+    assert not out.exists()
 
 
 def test_config_file_precedence(toy_csv, tmp_path, capsys):

@@ -121,6 +121,10 @@ def test_min_size_default_from_power_rule():
     # z_tilde = 0.5 at 5% level and 80% power
     assert spec.resolved_min_size() == 32
     assert KMeansSpec(n_groups=2, seed=0, min_group_size=3).resolved_min_size() == 3
+    # an infinite z_tilde would resolve to 0 and switch the size gate off
+    for z_tilde in (float("inf"), 1e-300):
+        with pytest.raises(DomainError, match="z_tilde"):
+            KMeansSpec(n_groups=2, z_tilde=z_tilde).resolved_min_size()
 
 
 def test_standardization_stored():

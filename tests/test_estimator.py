@@ -1,5 +1,6 @@
 """Cross-fitting, the groupwise closed form, D-SSLS, repeated splits."""
 
+import concurrent.futures
 import multiprocessing
 import sys
 import warnings
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ssls import estimator, parallel
+from ssls import estimator
 from ssls.clustering import FittedClusterer, KMeansSpec
 from ssls.data import CrossFitPlan, Dataset, GroupEffects, Grouping, make_crossfit_plan
 from ssls.errors import (
@@ -663,7 +664,7 @@ def test_small_fits_stay_in_this_process(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     crossfit_nuisance(d, SslsConfig(GbmSpec(), GbmSpec(), CrossFitPlan(seed=0)), g)
     crossfit_nuisance(d, SslsConfig(OlsSpec(), LogisticSpec(), CrossFitPlan(seed=0)), g)
 

@@ -273,6 +273,12 @@ def test_power_min_n_domain():
         power_min_n(0.0)
     with pytest.raises(DomainError):
         power_min_n(1.0, alpha=1.5)
+    for z_tilde in (float("inf"), float("nan"), -1.0):
+        with pytest.raises(DomainError, match="z_tilde must be finite and positive"):
+            power_min_n(z_tilde)
+    with pytest.raises(DomainError, match="the group size it needs overflows"):
+        power_min_n(1e-300)
+    assert power_min_n(1e-150) > 10**300  # large but finite
 
 
 def test_report_serialization_roundtrip():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ssls import learners
-from ssls.data import CrossFitPlan
+from ssls.data import CrossFitPlan, Dataset
 from ssls.errors import (
     DomainError,
     NonConvergenceWarning,
@@ -27,7 +27,7 @@ from ssls.learners import (
     fit_propensity,
     fit_regression,
 )
-from ssls.estimator import SslsConfig, crossfit_nuisance
+from ssls.estimator import CLIP, SslsConfig, crossfit_nuisance
 from ssls.rng import Stream
 from ssls.simulation import DgpDiagConfig, Dgp1Config, draw_dgp1, draw_dgp_diag
 
@@ -58,6 +58,18 @@ def test_ols_singular_design():
     y = np.arange(10.0)
     with pytest.raises(SingularDesign):
         fit_regression(OlsSpec(), x, y)
+
+
+@pytest.mark.parametrize("spec, scale", [(OlsSpec(), 1e160), (RidgeSpec(1e308), 1.0),
+                                         (RidgeSpec(1e308), 1e160)])
+def test_overflowing_gram_matrix_is_a_singular_design(spec, scale):
+    # finite covariates whose X'X (penalty included) overflows float64 are
+    # named as such, with no numpy warning or LinAlgError on the way
+    x = scale * Stream(3).normal(40).reshape(20, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularDesign, match="overflows float64"):
+            fit_regression(spec, x, np.arange(20.0))
 
 
 def test_ridge_handles_singular_design():
@@ -180,12 +192,12 @@ def test_known_clips():
 @pytest.mark.parametrize("spec", [CartSpec(min_leaf=2), GbmSpec(n_trees=5, min_leaf=2),
                                   OracleSpec(lambda x: 0.25 + 0.5 * (x[:, 0] > 0))])
 def test_one_spec_serves_either_role(spec):
-    # a propensity fit is the regression fit of a on x, clipped
+    # a propensity fit is the regression fit of a on x, unclipped
     x = np.array([[-2.0], [-1.0], [-0.5], [0.5], [1.0], [2.0]] * 2)
     a = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0] * 2)
     e = fit_propensity(spec, x, a).predict(x)
     m = fit_regression(spec, x, a).predict(x)
-    assert np.array_equal(e, np.clip(m, learners.CLIP, 1.0 - learners.CLIP))
+    assert np.array_equal(e, m)
 
 
 def test_spec_in_the_wrong_role_raises_type_error():
@@ -245,7 +257,7 @@ def test_logistic_loglik_non_decreasing_and_mc_consistency():
     # large-sample MLE recovery of the treatment model coefficients
     d, _, truth = draw_dgp1(Dgp1Config(n=10000), stream=Stream(6).child("logit"))
     model = fit_propensity(LogisticSpec(), d.x, d.a)
-    fitted = np.concatenate([[model.inner.intercept], model.inner.coef])
+    fitted = np.concatenate([[model.intercept], model.coef])
     target = np.array([0.5, 0.5, 0.5, -0.5, -1.0, 1.0])
     assert np.abs(fitted - target).max() < 0.1
     assert model.converged
@@ -261,7 +273,7 @@ def test_logistic_stopping_rule_is_scale_aware():
             warnings.simplefilter("error", NonConvergenceWarning)
             model = fit_propensity(spec, x, a)
         assert model.converged
-        return np.concatenate([[model.inner.intercept], model.inner.coef])
+        return np.concatenate([[model.intercept], model.coef])
 
     designs = [draw_dgp1(Dgp1Config(n=10000), stream=Stream(seed).child("logit"))[0]
                for seed in range(10)]
@@ -280,7 +292,7 @@ def test_logistic_nonconvergence_warns_but_returns():
         warnings.simplefilter("always")
         model = fit_propensity(LogisticSpec(max_iter=2), x, a)
     assert any(issubclass(w.category, NonConvergenceWarning) for w in caught)
-    assert not model.converged
+    assert model.converged is False
     p = model.predict(x)
     assert p.min() >= 0.01 and p.max() <= 0.99
     assert (p[:8] < 0.5).all() and (p[8:] > 0.5).all()
@@ -292,7 +304,7 @@ def test_logistic_loglik_non_decreasing_in_iterations():
     d, _, _ = draw_dgp1(Dgp1Config(n=400), stream=Stream(8).child("ll"))
 
     def loglik(model):
-        eta = model.inner.intercept + d.x @ model.inner.coef
+        eta = model.intercept + d.x @ model.coef
         return float(d.a @ eta - np.logaddexp(0.0, eta).sum())
 
     values = []
@@ -303,38 +315,27 @@ def test_logistic_loglik_non_decreasing_in_iterations():
     assert all(b >= a - 1e-10 for a, b in zip(values, values[1:]))
 
 
-def test_tree_propensity_clipped():
+@pytest.mark.parametrize("spec", [
+    KnownPropensity(0.999), KnownPropensity(np.linspace(0.001, 0.999, 200)),
+    LogisticSpec(), CartSpec(), GbmSpec(n_trees=30),
+    OracleSpec(lambda x: 1.0 / (1.0 + np.exp(-4.0 * x[:, 0]))),
+], ids=["known-scalar", "known-column", "logistic", "cart", "gbm", "oracle"])
+def test_crossfit_clips_every_propensity_once(spec):
+    # cross-fitting clips each e_hat once, whether it is known or predicted
+    # out of fold by the unclipped propensity fit on the fold's complement
     s = Stream(7)
     x = s.normal(200).reshape(200, 1)
-    a = (x[:, 0] > 1.5).astype(float)  # rare treatment: raw leaf means hit 0
-    for spec in (CartSpec(), GbmSpec(n_trees=30)):
-        model = fit_propensity(spec, x, a)
-        p = model.predict(x)
-        assert p.min() >= 0.01 and p.max() <= 0.99
-
-
-def test_oracle_propensity_clipped():
-    model = fit_propensity(OracleSpec(lambda x: x[:, 0]),
-                           np.zeros((2, 1)), np.array([0.0, 1.0]))
-    p = model.predict(np.array([[0.001], [0.999]]))
-    assert np.allclose(p, [0.01, 0.99])
-
-
-def test_every_propensity_fit_is_clipped_by_one_wrapper():
-    # the wrapper carries the inner model's convergence, which reports read
-    x = np.array([[-2.0]] * 8 + [[2.0]] * 8)
-    a = np.array([0.0] * 8 + [1.0] * 8)
-    specs = (LogisticSpec(max_iter=2), OracleSpec(lambda x: 0.5 + x[:, 0] / 4.0),
-             CartSpec(min_leaf=2), GbmSpec(n_trees=5, min_leaf=2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonConvergenceWarning)
-        for spec in specs:
-            model = fit_propensity(spec, x, a)
-            assert isinstance(model, learners._ClippedModel)
-            assert model.converged == model.inner.converged
-            assert np.array_equal(model.predict(x),
-                                  np.clip(model.inner.predict(x), 0.01, 0.99))
-        assert not fit_propensity(LogisticSpec(max_iter=2), x, a).converged
+    a = (x[:, 0] + 0.5 * s.normal(200) > 1.0).astype(float)  # leaf means hit 0 and 1
+    d = Dataset(y=x[:, 0] + a, a=a, x=x)
+    nf = crossfit_nuisance(d, SslsConfig(OlsSpec(), spec, CrossFitPlan(seed=1)))
+    raw = np.broadcast_to(getattr(spec, "values", 0.0), 200).copy()
+    for k in np.unique(nf.fold_of):
+        test = nf.fold_of == k
+        if not isinstance(spec, KnownPropensity):
+            raw[test] = fit_propensity(spec, x[~test], a[~test]).predict(x[test])
+    assert ((raw < CLIP) | (raw > 1.0 - CLIP)).any()  # the clip binds
+    assert np.array_equal(nf.e_hat, np.clip(raw, CLIP, 1.0 - CLIP))
+    assert nf.e_hat.min() >= CLIP and nf.e_hat.max() <= 1.0 - CLIP
 
 
 def test_gbm_shrinkage_validation():

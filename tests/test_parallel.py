@@ -3,6 +3,7 @@ where jobs run, and the one-CPU rule for nested joins."""
 
 import multiprocessing
 import os
+import subprocess
 import sys
 import warnings
 
@@ -94,3 +95,14 @@ def test_a_job_warning_keeps_its_module_for_the_filters(workers):
         with pytest.raises(UserWarning, match="job 0"):
             fork_join(_warn_then_fail(()), 2, workers)
     assert multiprocessing.active_children() == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # concurrent.futures loads its process module on first use of the pool
+    code = "import sys, ssls.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+         os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout == "False\n"
